@@ -20,9 +20,10 @@
 namespace prever::benchutil {
 
 /// Wall-clock per-operation histogram for one case of one bench, e.g.
-/// OpHistogram("e5", "xor_fetch"). Pair with PREVER_TRACE_SPAN around the
-/// measured operation; the registry dedups, so calling this inside the
-/// benchmark setup is cheap and idempotent.
+/// OpHistogram("e5", "xor_fetch"). Time the measured operation with
+/// PREVER_TRACE_SPAN(op), a histogram-only StageSpan (no causal span). Resolve
+/// the histogram once in the benchmark setup, not per iteration: the
+/// registry dedups, but each lookup takes its lock.
 inline obs::Histogram* OpHistogram(const std::string& bench,
                                    const std::string& bench_case) {
   return obs::Registry::Default().GetHistogram(

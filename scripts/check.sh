@@ -33,7 +33,7 @@ scripts/bench_smoke.sh "$BUILD_DIR"
 # Causal-trace smoke: a traced E2 run must export a Chrome trace whose span
 # trees reconstruct fully connected (every parent present — trace_analyze
 # --strict fails on orphans), and the analyzer must produce its per-stage
-# critical-path attribution from it. bench_smoke.sh already validated the
+# self-time attribution from it. bench_smoke.sh already validated the
 # JSON schema; this stage gates the analysis tool itself.
 TRACE_FILE="$(mktemp)"
 "$BUILD_DIR"/bench/bench_e2_consensus --trace="$TRACE_FILE" \
@@ -44,6 +44,15 @@ else
   echo "check: trace smoke skipped (PREVER_TRACING=OFF build)" >&2
 fi
 rm -f "$TRACE_FILE"
+
+# Tracing compiled out: -DPREVER_TRACING=OFF swaps every causal-tracing type
+# for an empty stub, while a StageSpan must still record its histogram half.
+# Build and run the full unit suite in that mode so the stubs and the
+# histogram-only path stay compiled and tested.
+TRACING_OFF_DIR="${TRACING_OFF_BUILD_DIR:-build-tracing-off}"
+cmake -B "$TRACING_OFF_DIR" -S . -DPREVER_TRACING=OFF
+cmake --build "$TRACING_OFF_DIR" -j "$(nproc)" --target prever_tests
+"$TRACING_OFF_DIR"/tests/prever_tests
 
 # Mutation kill matrix: compiles the verification layer with the runtime
 # mutation harness in its own tree and requires >= 95% of the registered

@@ -87,6 +87,14 @@ Result<std::string> BinaryReader::ReadString() {
   return std::string(b.begin(), b.end());
 }
 
+Result<uint32_t> BinaryReader::ReadCount(size_t min_elem_bytes) {
+  PREVER_ASSIGN_OR_RETURN(uint32_t n, ReadU32());
+  if (n > remaining() / min_elem_bytes) {
+    return Status::Corruption("element count exceeds remaining bytes");
+  }
+  return n;
+}
+
 Result<Bytes> BinaryReader::ReadRaw(size_t n) {
   PREVER_RETURN_IF_ERROR(Need(n));
   Bytes out(data_.begin() + static_cast<long>(pos_),

@@ -53,6 +53,10 @@ class BinaryReader {
   Result<std::string> ReadString();
   /// Reads exactly `n` raw bytes.
   Result<Bytes> ReadRaw(size_t n);
+  /// Reads a u32 element count, rejecting one the rest of the buffer cannot
+  /// hold at `min_elem_bytes` (> 0) per element, so a hostile count can
+  /// never size an allocation beyond the message that carries it.
+  Result<uint32_t> ReadCount(size_t min_elem_bytes);
 
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }

@@ -71,7 +71,8 @@ Result<std::pair<uint64_t, std::vector<PreparedEntry>>> DecodeViewChange(
     const Bytes& payload) {
   BinaryReader r(payload);
   PREVER_ASSIGN_OR_RETURN(uint64_t new_view, r.ReadU64());
-  PREVER_ASSIGN_OR_RETURN(uint32_t n, r.ReadU32());
+  // Each entry is at least seq + view + an empty command's length prefix.
+  PREVER_ASSIGN_OR_RETURN(uint32_t n, r.ReadCount(8 + 8 + 4));
   std::vector<PreparedEntry> entries(n);
   for (uint32_t i = 0; i < n; ++i) {
     PREVER_ASSIGN_OR_RETURN(entries[i].seq, r.ReadU64());

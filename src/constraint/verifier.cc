@@ -9,9 +9,8 @@
 namespace prever::constraint {
 
 CompiledVerifier::CompiledVerifier(const ConstraintCatalog* catalog,
-                                   storage::Database* db,
-                                   ProgramCache* programs)
-    : catalog_(catalog), db_(db), programs_(programs) {
+                                   storage::Database* db)
+    : catalog_(catalog), db_(db) {
   if (db_ != nullptr) {
     observer_id_ = db_->AddCommitObserver(
         [this](const storage::Mutation& mutation, uint64_t /*version*/) {
@@ -24,12 +23,6 @@ CompiledVerifier::CompiledVerifier(const ConstraintCatalog* catalog,
 
 CompiledVerifier::~CompiledVerifier() {
   if (db_ != nullptr) db_->RemoveCommitObserver(observer_id_);
-}
-
-std::shared_ptr<const CompiledConstraint> CompiledVerifier::Compile(
-    const Expr& expr) const {
-  if (programs_ != nullptr) return programs_->Get(expr);
-  return std::make_shared<const CompiledConstraint>(CompileConstraint(expr));
 }
 
 void CompiledVerifier::RefreshLocked() {
@@ -46,7 +39,8 @@ void CompiledVerifier::RefreshLocked() {
   for (const Constraint& c : catalog_->constraints()) {
     Entry e;
     e.constraint = &c;
-    e.compiled = Compile(*c.expr);
+    e.compiled = std::make_shared<const CompiledConstraint>(
+        CompileConstraint(*c.expr));
     if (e.compiled->ok) {
       ++stats_.compiled_constraints;
     } else {
@@ -192,7 +186,8 @@ Result<int64_t> CompiledVerifier::EvaluateAggregate(const Expr& agg,
   if (!up) {
     PREVER_CAUSAL_SPAN(causal_compile, obs::TraceStage::kVerifyCompile);
     up = std::make_unique<AdhocAgg>();
-    up->compiled = Compile(agg);
+    up->compiled =
+        std::make_shared<const CompiledConstraint>(CompileConstraint(agg));
     // A lone top-level aggregate always lowers to exactly one spec.
     up->usable = up->compiled->ok && up->compiled->aggs.size() == 1;
   }

@@ -107,14 +107,12 @@ Status DemarcationEngine::CheckAndConsume(
 Status DemarcationEngine::SubmitVia(size_t platform_index,
                                     const Update& update) {
   metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
+  auto submit_span = metrics_.Span(obs::TraceStage::kSubmit);
   if (platform_index >= platforms_.size()) {
     return metrics_.Finish(Status::InvalidArgument("no such platform"));
   }
   FederatedPlatform* home = platforms_[platform_index];
-  obs::ScopedSpan verify_span(metrics_.verify_ns());
-  obs::TraceSpan causal_verify(obs::TraceStage::kVerify);
+  auto verify_span = metrics_.Span(obs::TraceStage::kVerify);
   constraint::EvalContext local_ctx{&home->db, &update.fields,
                                     update.timestamp};
   Status internal = internal_verifiers_[platform_index]->VerifyAll(local_ctx);
@@ -129,9 +127,7 @@ Status DemarcationEngine::SubmitVia(size_t platform_index,
     }
   }
   verify_span.End();
-  causal_verify.End();
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
+  auto ledger_span = metrics_.Span(obs::TraceStage::kLedgerPhase);
   Status applied = home->db.Apply(update.mutation);
   if (!applied.ok()) return metrics_.Finish(applied);
   BinaryWriter w;

@@ -129,8 +129,10 @@ Result<EncryptedEngine::SealedSubmission> EncryptedEngine::Seal(
 }
 
 Status EncryptedEngine::SubmitUpdate(const Update& update) {
+  // Sealing runs before SubmitSealed opens the trace root, so this crypto
+  // span is histogram-only in practice (child-only, nothing current).
   Result<SealedSubmission> sealed = [&] {
-    PREVER_TRACE_SPAN(metrics_.crypto_ns());
+    auto crypto_span = metrics_.Span(obs::TraceStage::kCrypto);
     return Seal(update);
   }();
   if (!sealed.ok()) {
@@ -148,13 +150,11 @@ bool EncryptedEngine::VerifyProducerRange(
 
 Status EncryptedEngine::SubmitSealed(const SealedSubmission& submission) {
   metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
+  auto submit_span = metrics_.Span(obs::TraceStage::kSubmit);
   // Manager-side check 1: the producer proved its hidden value is in range.
   bool range_ok;
   {
-    PREVER_TRACE_SPAN(metrics_.crypto_ns());
-    PREVER_CAUSAL_SPAN(causal_crypto, obs::TraceStage::kCrypto);
+    auto crypto_span = metrics_.Span(obs::TraceStage::kCrypto);
     range_ok = VerifyProducerRange(submission);
   }
   return FinishSealed(submission, range_ok);
@@ -178,7 +178,7 @@ Status EncryptedEngine::SubmitSealedBatch(
   // synchronized) crypto caches, so iterations are independent.
   std::vector<char> range_ok(batch.size(), 0);
   {
-    PREVER_TRACE_SPAN(metrics_.crypto_ns());
+    auto crypto_span = metrics_.Span(obs::TraceStage::kCrypto);
     auto verify_one = [&](size_t i) {
       range_ok[i] = VerifyProducerRange(batch[i]) ? 1 : 0;
     };
@@ -196,8 +196,7 @@ Status EncryptedEngine::SubmitSealedBatch(
   for (size_t i = 0; i < batch.size(); ++i) {
     metrics_.OnSubmit();
     Status s = [&] {
-      PREVER_TRACE_SPAN(metrics_.submit_ns());
-      PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, i);
+      auto submit_span = metrics_.Span(obs::TraceStage::kSubmit, i);
       return FinishSealed(batch[i], range_ok[i] != 0, /*async_ledger=*/true);
     }();
     if (!s.ok() && first.ok()) first = s;
@@ -220,8 +219,7 @@ Status EncryptedEngine::FinishSealed(const SealedSubmission& submission,
   // over the public filter (group, window) INCLUDING the incoming value,
   // then demand an owner attestation tied to our own commitment product.
   const std::vector<SealedRow>& group_rows = rows_[submission.group];
-  obs::ScopedSpan verify_span(metrics_.verify_ns());
-  obs::TraceSpan causal_verify(obs::TraceStage::kVerify);
+  auto verify_span = metrics_.Span(obs::TraceStage::kVerify);
   for (const RegulatedBound& bound : bounds_) {
     PaillierCiphertext total_v = submission.sealed.value_ct;
     PaillierCiphertext total_r = submission.sealed.rand_ct;
@@ -264,12 +262,10 @@ Status EncryptedEngine::FinishSealed(const SealedSubmission& submission,
     }
   }
   verify_span.End();
-  causal_verify.End();
 
   // Step 3: store the sealed row and ledger a content commitment. The
   // ledger entry binds id/group/time + ciphertext digests, never plaintext.
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
+  auto ledger_span = metrics_.Span(obs::TraceStage::kLedgerPhase);
   rows_[submission.group].push_back(
       SealedRow{submission.group, submission.timestamp, submission.sealed});
   BinaryWriter w;

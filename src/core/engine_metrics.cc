@@ -14,16 +14,12 @@ EngineMetrics::EngineMetrics(const std::string& engine,
   accepted_ = outcome("accepted");
   rejected_constraint_ = outcome("rejected_constraint");
   rejected_error_ = outcome("rejected_error");
-  submit_ns_ = registry->GetHistogram("prever_engine_submit_ns", base);
-  auto phase = [&](const char* p) {
+  for (size_t i = static_cast<size_t>(obs::TraceStage::kSubmit);
+       i < phase_ns_.size(); ++i) {
     obs::Labels l = base;
-    l["phase"] = p;
-    return registry->GetHistogram("prever_engine_phase_ns", l);
-  };
-  verify_ns_ = phase("verify");
-  crypto_ns_ = phase("crypto");
-  token_ns_ = phase("token");
-  ledger_ns_ = phase("ledger");
+    l["phase"] = obs::TraceStageName(static_cast<obs::TraceStage>(i));
+    phase_ns_[i] = registry->GetHistogram("prever_engine_phase_ns", l);
+  }
   baseline_.submitted = submitted_->value();
   baseline_.accepted = accepted_->value();
   baseline_.rejected_constraint = rejected_constraint_->value();

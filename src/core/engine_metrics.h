@@ -1,6 +1,7 @@
 #ifndef PREVER_CORE_ENGINE_METRICS_H_
 #define PREVER_CORE_ENGINE_METRICS_H_
 
+#include <array>
 #include <string>
 
 #include "common/status.h"
@@ -18,7 +19,9 @@ namespace prever::core {
 ///
 /// This replaces the hand-rolled `++stats_.accepted` / `++stats_.rejected_*`
 /// blocks each engine used to duplicate: call OnSubmit() on entry and return
-/// through Finish(status), which classifies the outcome once.
+/// through Finish(status), which classifies the outcome once. Each engine
+/// phase is timed by one Span(stage) statement, which feeds that stage's
+/// histogram and its causal trace span together.
 class EngineMetrics {
  public:
   /// `engine` labels every metric family; pass the engine's name(). Metrics
@@ -37,23 +40,26 @@ class EngineMetrics {
   /// baseline), preserving the pre-registry EngineStats contract.
   EngineStats Snapshot() const;
 
-  /// Phase histograms (wall-clock ns) for PREVER_TRACE_SPAN at call sites.
-  obs::Histogram* submit_ns() { return submit_ns_; }
-  obs::Histogram* verify_ns() { return verify_ns_; }
-  obs::Histogram* crypto_ns() { return crypto_ns_; }
-  obs::Histogram* token_ns() { return token_ns_; }
-  obs::Histogram* ledger_ns() { return ledger_ns_; }
+  /// Opens the span of one engine phase (kSubmit..kLedgerPhase): wall-clock
+  /// ns into prever_engine_phase_ns{phase=TraceStageName(stage)}, plus the
+  /// causal span of the same stage. kSubmit opens the transaction's trace
+  /// root (carrying `arg`); every other phase is a child-only span.
+  obs::StageSpan Span(obs::TraceStage stage, uint64_t arg = 0) {
+    size_t i = static_cast<size_t>(stage);
+    return obs::StageSpan(i < phase_ns_.size() ? phase_ns_[i] : nullptr,
+                          stage, arg,
+                          /*root=*/stage == obs::TraceStage::kSubmit);
+  }
 
  private:
   obs::Counter* submitted_;
   obs::Counter* accepted_;
   obs::Counter* rejected_constraint_;
   obs::Counter* rejected_error_;
-  obs::Histogram* submit_ns_;
-  obs::Histogram* verify_ns_;
-  obs::Histogram* crypto_ns_;
-  obs::Histogram* token_ns_;
-  obs::Histogram* ledger_ns_;
+  /// Indexed by TraceStage; resolved at construction for the engine phases.
+  std::array<obs::Histogram*,
+             static_cast<size_t>(obs::TraceStage::kLedgerPhase) + 1>
+      phase_ns_{};
   EngineStats baseline_;  ///< Counter values when this instance was created.
 };
 

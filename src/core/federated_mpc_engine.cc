@@ -13,8 +13,7 @@ constexpr size_t kComparisonBits = 32;
 FederatedMpcEngine::FederatedMpcEngine(
     std::vector<FederatedPlatform*> platforms,
     const constraint::ConstraintCatalog* regulations,
-    OrderingService* ordering, uint64_t dealer_seed,
-    constraint::ProgramCache* programs)
+    OrderingService* ordering, uint64_t dealer_seed)
     : platforms_(std::move(platforms)),
       regulations_(regulations),
       ordering_(ordering),
@@ -23,7 +22,7 @@ FederatedMpcEngine::FederatedMpcEngine(
   platform_verifiers_.reserve(platforms_.size());
   for (FederatedPlatform* p : platforms_) {
     platform_verifiers_.push_back(std::make_unique<constraint::CompiledVerifier>(
-        &p->internal_constraints, &p->db, programs));
+        &p->internal_constraints, &p->db));
   }
 }
 
@@ -112,15 +111,13 @@ Status FederatedMpcEngine::CheckRegulation(size_t index, size_t platform_index,
 Status FederatedMpcEngine::SubmitVia(size_t platform_index,
                                      const Update& update) {
   metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
+  auto submit_span = metrics_.Span(obs::TraceStage::kSubmit);
   if (platform_index >= platforms_.size()) {
     return metrics_.Finish(Status::InvalidArgument("no such platform"));
   }
   FederatedPlatform* home = platforms_[platform_index];
 
-  obs::ScopedSpan verify_span(metrics_.verify_ns());
-  obs::TraceSpan causal_verify(obs::TraceStage::kVerify);
+  auto verify_span = metrics_.Span(obs::TraceStage::kVerify);
   // Local internal constraints first (cheap, no cross-platform traffic).
   constraint::EvalContext local_ctx{&home->db, &update.fields,
                                     update.timestamp};
@@ -133,12 +130,10 @@ Status FederatedMpcEngine::SubmitVia(size_t platform_index,
     if (!checked.ok()) return metrics_.Finish(checked);
   }
   verify_span.End();
-  causal_verify.End();
 
   // Apply locally; order a content DIGEST globally (other platforms must
   // not see the private update body — they audit existence and order only).
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
+  auto ledger_span = metrics_.Span(obs::TraceStage::kLedgerPhase);
   Status applied = home->db.Apply(update.mutation);
   if (!applied.ok()) return metrics_.Finish(applied);
   BinaryWriter w;

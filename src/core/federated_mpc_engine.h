@@ -40,13 +40,10 @@ class FederatedMpcEngine : public UpdateEngine {
  public:
   /// `regulations` are the global (external-authority) constraints; each is
   /// compiled to linear bound form at construction. `platforms` must
-  /// outlive the engine. `programs` (optional) is a shared compiled-bytecode
-  /// cache — pass the same cache to paired engines so each regulation
-  /// aggregate compiles once across all of them.
+  /// outlive the engine.
   FederatedMpcEngine(std::vector<FederatedPlatform*> platforms,
                      const constraint::ConstraintCatalog* regulations,
-                     OrderingService* ordering, uint64_t dealer_seed,
-                     constraint::ProgramCache* programs = nullptr);
+                     OrderingService* ordering, uint64_t dealer_seed);
 
   /// Validates that every regulation is in linear bound form.
   Status ValidateRegulations() const;

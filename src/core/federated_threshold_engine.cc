@@ -16,7 +16,7 @@ FederatedThresholdEngine::FederatedThresholdEngine(
     std::vector<FederatedPlatform*> platforms,
     const constraint::ConstraintCatalog* regulations,
     OrderingService* ordering, const crypto::PedersenParams& params,
-    uint64_t seed, constraint::ProgramCache* programs)
+    uint64_t seed)
     : platforms_(std::move(platforms)),
       regulations_(regulations),
       ordering_(ordering),
@@ -26,7 +26,7 @@ FederatedThresholdEngine::FederatedThresholdEngine(
   platform_verifiers_.reserve(platforms_.size());
   for (FederatedPlatform* p : platforms_) {
     platform_verifiers_.push_back(std::make_unique<constraint::CompiledVerifier>(
-        &p->internal_constraints, &p->db, programs));
+        &p->internal_constraints, &p->db));
   }
 }
 
@@ -115,15 +115,13 @@ Status FederatedThresholdEngine::SubmitViaInternal(size_t platform_index,
                                                    const Update& update,
                                                    bool async_ledger) {
   metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
+  auto submit_span = metrics_.Span(obs::TraceStage::kSubmit);
   if (platform_index >= platforms_.size()) {
     return metrics_.Finish(Status::InvalidArgument("no such platform"));
   }
   FederatedPlatform* home = platforms_[platform_index];
   {
-    PREVER_TRACE_SPAN(metrics_.verify_ns());
-    PREVER_CAUSAL_SPAN(causal_verify, obs::TraceStage::kVerify);
+    auto verify_span = metrics_.Span(obs::TraceStage::kVerify);
     constraint::EvalContext local_ctx{&home->db, &update.fields,
                                       update.timestamp};
     Status internal = platform_verifiers_[platform_index]->VerifyAll(local_ctx);
@@ -131,15 +129,13 @@ Status FederatedThresholdEngine::SubmitViaInternal(size_t platform_index,
   }
   {
     // The regulation check is dominated by threshold ElGamal work.
-    PREVER_TRACE_SPAN(metrics_.crypto_ns());
-    PREVER_CAUSAL_SPAN(causal_crypto, obs::TraceStage::kCrypto);
+    auto crypto_span = metrics_.Span(obs::TraceStage::kCrypto);
     for (size_t r = 0; r < regulations_->size(); ++r) {
       Status checked = CheckRegulation(r, platform_index, update);
       if (!checked.ok()) return metrics_.Finish(checked);
     }
   }
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
+  auto ledger_span = metrics_.Span(obs::TraceStage::kLedgerPhase);
   Status applied = home->db.Apply(update.mutation);
   if (!applied.ok()) return metrics_.Finish(applied);
   BinaryWriter w;

@@ -60,8 +60,7 @@ Status FederatedTokenEngine::SubmitViaInternal(size_t platform_index,
                                                const Update& update,
                                                bool async_ledger) {
   metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
+  auto submit_span = metrics_.Span(obs::TraceStage::kSubmit);
   if (platform_index >= platforms_.size()) {
     return metrics_.Finish(Status::InvalidArgument("no such platform"));
   }
@@ -76,8 +75,7 @@ Status FederatedTokenEngine::SubmitViaInternal(size_t platform_index,
         Status::InvalidArgument("cost must be a non-negative int"));
   }
 
-  obs::ScopedSpan token_span(metrics_.token_ns());
-  obs::TraceSpan causal_token(obs::TraceStage::kToken);
+  auto token_span = metrics_.Span(obs::TraceStage::kToken);
   // Producer side: ensure the wallet holds `cost` tokens, withdrawing the
   // shortfall. A failed withdrawal IS the regulation rejecting the update:
   // the budget encodes the bound.
@@ -130,12 +128,10 @@ Status FederatedTokenEngine::SubmitViaInternal(size_t platform_index,
     }
   }
   token_span.End();
-  causal_token.End();
 
   // Apply locally, then order the spent serials + update digest so every
   // platform learns the tokens are burned (and nothing else).
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
+  auto ledger_span = metrics_.Span(obs::TraceStage::kLedgerPhase);
   FederatedPlatform* home = platforms_[platform_index];
   Status applied = home->db.Apply(update.mutation);
   if (!applied.ok()) return metrics_.Finish(applied);

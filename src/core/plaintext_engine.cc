@@ -11,23 +11,20 @@ PlaintextEngine::PlaintextEngine(storage::Database* db,
 
 Status PlaintextEngine::SubmitUpdate(const Update& update) {
   metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
   // Trace root: every causal span this transaction produces — phase spans
   // here, queue-wait/consensus/ledger spans downstream — descends from it.
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
+  auto submit_span = metrics_.Span(obs::TraceStage::kSubmit);
   // Step 2 (Fig. 2): verify against every constraint and regulation.
   constraint::EvalContext ctx{db_, &update.fields, update.timestamp};
   Status verified;
   {
-    PREVER_TRACE_SPAN(metrics_.verify_ns());
-    PREVER_CAUSAL_SPAN(causal_verify, obs::TraceStage::kVerify);
+    auto verify_span = metrics_.Span(obs::TraceStage::kVerify);
     verified = verifier_.VerifyAll(ctx);
   }
   if (!verified.ok()) return metrics_.Finish(verified);
   // Step 3: incorporate into the database and record on the immutable
   // integrity layer (RC4).
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
+  auto ledger_span = metrics_.Span(obs::TraceStage::kLedgerPhase);
   Status applied = db_->Apply(update.mutation);
   if (!applied.ok()) return metrics_.Finish(applied);
   Status ordered = ordering_->Append(update.Encode(), update.timestamp);

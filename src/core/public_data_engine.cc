@@ -47,21 +47,18 @@ Result<PrivateAttestation> PublicDataEngine::Attest(
 
 Status PublicDataEngine::Submit(const Submission& submission) {
   metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
+  auto submit_span = metrics_.Span(obs::TraceStage::kSubmit);
   // (a) Public constraints over public data + public update fields.
   constraint::EvalContext ctx{db_, &submission.update.fields,
                               submission.update.timestamp};
   Status public_ok;
   {
-    PREVER_TRACE_SPAN(metrics_.verify_ns());
-    PREVER_CAUSAL_SPAN(causal_verify, obs::TraceStage::kVerify);
+    auto verify_span = metrics_.Span(obs::TraceStage::kVerify);
     public_ok = verifier_.VerifyAll(ctx);
   }
   if (!public_ok.ok()) return metrics_.Finish(public_ok);
   // (b) One valid attestation per private requirement.
-  obs::ScopedSpan crypto_span(metrics_.crypto_ns());
-  obs::TraceSpan causal_crypto(obs::TraceStage::kCrypto);
+  auto crypto_span = metrics_.Span(obs::TraceStage::kCrypto);
   for (const AttestationRequirement& req : requirements_) {
     const PrivateAttestation* found = nullptr;
     for (const PrivateAttestation& att : submission.attestations) {
@@ -88,11 +85,9 @@ Status PublicDataEngine::Submit(const Submission& submission) {
     }
   }
   crypto_span.End();
-  causal_crypto.End();
   // Apply to the public database and ledger the (public) update together
   // with the attestation commitments, so auditors can re-verify later.
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
+  auto ledger_span = metrics_.Span(obs::TraceStage::kLedgerPhase);
   Status applied = db_->Apply(submission.update.mutation);
   if (!applied.ok()) return metrics_.Finish(applied);
   BinaryWriter w;

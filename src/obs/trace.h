@@ -1,18 +1,20 @@
 #ifndef PREVER_OBS_TRACE_H_
 #define PREVER_OBS_TRACE_H_
 
-// Zero-overhead contract for PReVer instrumentation (this header's
-// histogram spans AND the causal spans in obs/tracing.h):
+// Zero-overhead contract for PReVer instrumentation. One statement times
+// one pipeline stage: a StageSpan below records the stage's wall-clock
+// histogram AND opens its causal span (obs/tracing.h) over the same
+// TraceStage taxonomy.
 //
 //  1. Compiled out: configuring with -DPREVER_TRACING=OFF defines
 //     PREVER_TRACING_DISABLED, under which every tracing.h class is an
 //     empty stub (static_assert'd to carry no state) and the causal-span
-//     macros expand to objects the optimizer erases entirely — the hot
-//     path is byte-for-byte free of tracing work.
-//  2. Compiled in, runtime-disabled (the default): every instrumentation
-//     point costs exactly one relaxed atomic load and one predictable
-//     branch before bailing out. No allocation, no ring write, no
-//     thread-local context mutation happens while Tracer::enabled() is
+//     macros expand to objects the optimizer erases entirely. A StageSpan
+//     keeps only its histogram half: metrics survive, causal work is gone.
+//  2. Compiled in, runtime-disabled (the default): every causal
+//     instrumentation point costs exactly one relaxed atomic load and one
+//     predictable branch before bailing out. No allocation, no ring write,
+//     no thread-local context mutation happens while Tracer::enabled() is
 //     false.
 //  3. Enabled but unsampled: minting a root costs two relaxed RMWs (trace
 //     id + minted counter) plus one hash; a dropped trace propagates a
@@ -24,14 +26,16 @@
 // bench/bench_e2_consensus.cpp (asserted loosely by scripts/bench_smoke.sh
 // so a regression to per-op allocation or locking cannot land silently).
 //
-// The histogram spans below follow the same discipline: a null histogram
-// pointer disarms a ScopedSpan at construction time with no clock read.
+// The histogram half follows the same discipline: its Histogram* is
+// resolved once by the owner (EngineMetrics at construction, OpHistogram
+// in the benches), never looked up per span, and a null histogram disarms
+// it with no clock read.
 
 #include <chrono>
 #include <cstdint>
 
-#include "common/sim_clock.h"
 #include "obs/metrics.h"
+#include "obs/tracing.h"
 
 namespace prever::obs {
 
@@ -43,53 +47,37 @@ inline uint64_t MonotonicNanos() {
           .count());
 }
 
-/// RAII span: records elapsed wall-clock nanoseconds into `hist` at scope
-/// exit. A null histogram disables the span (zero-cost guard for optional
-/// instrumentation).
-class ScopedSpan {
+/// RAII span over one pipeline stage, the single instrumentation call per
+/// phase. It records elapsed wall-clock nanoseconds into `hist` at End()
+/// (a null histogram records nothing and reads no clock) and opens the
+/// causal TraceSpan of `stage` — child-only unless `root`, so with tracing
+/// off or the trace unsampled the causal half is one relaxed load.
+/// TraceStage::kNone makes a histogram-only timer with no causal half.
+class StageSpan {
  public:
-  explicit ScopedSpan(Histogram* hist)
-      : hist_(hist), start_(hist != nullptr ? MonotonicNanos() : 0) {}
-  ~ScopedSpan() { End(); }
+  explicit StageSpan(Histogram* hist, TraceStage stage = TraceStage::kNone,
+                     uint64_t arg = 0, bool root = false)
+      : hist_(hist),
+        start_(hist != nullptr ? MonotonicNanos() : 0),
+        causal_(stage, arg, root) {}
+  ~StageSpan() { End(); }
 
-  /// Records and disarms early, for spans that end before scope exit.
+  /// Closes both halves early, for spans that end before scope exit; a
+  /// second call is a no-op.
   void End() {
+    causal_.End();
     if (hist_ != nullptr) {
       hist_->Record(MonotonicNanos() - start_);
       hist_ = nullptr;
     }
   }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  StageSpan(const StageSpan&) = delete;
+  StageSpan& operator=(const StageSpan&) = delete;
 
  private:
   Histogram* hist_;
   uint64_t start_;
-};
-
-/// RAII span against simulated time: records elapsed SimTime microseconds.
-/// Useful inside discrete-event runs where wall time is meaningless — e.g.
-/// commit latency of a consensus round driven by SimNetwork.
-class SimScopedSpan {
- public:
-  SimScopedSpan(Histogram* hist, const SimClock* clock)
-      : hist_(hist), clock_(clock),
-        start_(clock != nullptr ? clock->Now() : 0) {}
-  ~SimScopedSpan() { End(); }
-
-  void End() {
-    if (hist_ != nullptr && clock_ != nullptr) {
-      hist_->Record(clock_->Now() - start_);
-    }
-    hist_ = nullptr;
-  }
-  SimScopedSpan(const SimScopedSpan&) = delete;
-  SimScopedSpan& operator=(const SimScopedSpan&) = delete;
-
- private:
-  Histogram* hist_;
-  const SimClock* clock_;
-  uint64_t start_;
+  TraceSpan causal_;
 };
 
 }  // namespace prever::obs
@@ -97,14 +85,9 @@ class SimScopedSpan {
 #define PREVER_TRACE_CONCAT_IMPL_(a, b) a##b
 #define PREVER_TRACE_CONCAT_(a, b) PREVER_TRACE_CONCAT_IMPL_(a, b)
 
-/// Times the rest of the enclosing scope into `hist_ptr` (wall clock, ns).
+/// Times the rest of the enclosing scope into `hist_ptr` (wall clock, ns)
+/// with no causal span: a histogram-only StageSpan.
 #define PREVER_TRACE_SPAN(hist_ptr) \
-  ::prever::obs::ScopedSpan PREVER_TRACE_CONCAT_(_span_, __LINE__)(hist_ptr)
-
-/// Times the rest of the enclosing scope into `hist_ptr` (sim time, us).
-#define PREVER_TRACE_SIM_SPAN(hist_ptr, clock_ptr)                  \
-  ::prever::obs::SimScopedSpan PREVER_TRACE_CONCAT_(_simspan_,      \
-                                                    __LINE__)(hist_ptr, \
-                                                              clock_ptr)
+  ::prever::obs::StageSpan PREVER_TRACE_CONCAT_(_span_, __LINE__)(hist_ptr)
 
 #endif  // PREVER_OBS_TRACE_H_

@@ -1,5 +1,41 @@
 #include "obs/tracing.h"
 
+namespace prever::obs {
+
+// Stage names are part of both build modes: EngineMetrics labels its phase
+// histograms with them whether or not the causal tracer is compiled in.
+const char* TraceStageName(TraceStage stage) {
+  switch (stage) {
+    case TraceStage::kNone: return "none";
+    case TraceStage::kSubmit: return "submit";
+    case TraceStage::kVerify: return "verify";
+    case TraceStage::kCrypto: return "crypto";
+    case TraceStage::kToken: return "token";
+    case TraceStage::kLedgerPhase: return "ledger_phase";
+    case TraceStage::kQueueWait: return "queue_wait";
+    case TraceStage::kConsensus: return "consensus";
+    case TraceStage::kLedgerAppend: return "ledger_append";
+    case TraceStage::kWalAppend: return "wal_append";
+    case TraceStage::kBatchSeal: return "batch_seal";
+    case TraceStage::kBatchJoin: return "batch_join";
+    case TraceStage::kNetSend: return "net_send";
+    case TraceStage::kNetDeliver: return "net_deliver";
+    case TraceStage::kRaftAppendEntries: return "raft_append_entries";
+    case TraceStage::kPbftPrePrepare: return "pbft_pre_prepare";
+    case TraceStage::kPbftPrepare: return "pbft_prepare";
+    case TraceStage::kPbftCommit: return "pbft_commit";
+    case TraceStage::kVerifyCompile: return "verify_compile";
+    case TraceStage::kVerifyEval: return "verify_eval";
+    case TraceStage::kVerifyAggUpdate: return "verify_agg_update";
+    case TraceStage::kRecoverLoad: return "recover_load";
+    case TraceStage::kRecoverReplay: return "recover_replay";
+    case TraceStage::kStateTransfer: return "state_transfer";
+  }
+  return "unknown";
+}
+
+}  // namespace prever::obs
+
 #if !defined(PREVER_TRACING_DISABLED)
 
 #include <algorithm>
@@ -49,36 +85,6 @@ size_t CeilPow2(size_t n) {
 }
 
 }  // namespace
-
-const char* TraceStageName(TraceStage stage) {
-  switch (stage) {
-    case TraceStage::kNone: return "none";
-    case TraceStage::kSubmit: return "submit";
-    case TraceStage::kVerify: return "verify";
-    case TraceStage::kCrypto: return "crypto";
-    case TraceStage::kToken: return "token";
-    case TraceStage::kLedgerPhase: return "ledger_phase";
-    case TraceStage::kQueueWait: return "queue_wait";
-    case TraceStage::kConsensus: return "consensus";
-    case TraceStage::kLedgerAppend: return "ledger_append";
-    case TraceStage::kWalAppend: return "wal_append";
-    case TraceStage::kBatchSeal: return "batch_seal";
-    case TraceStage::kBatchJoin: return "batch_join";
-    case TraceStage::kNetSend: return "net_send";
-    case TraceStage::kNetDeliver: return "net_deliver";
-    case TraceStage::kRaftAppendEntries: return "raft_append_entries";
-    case TraceStage::kPbftPrePrepare: return "pbft_pre_prepare";
-    case TraceStage::kPbftPrepare: return "pbft_prepare";
-    case TraceStage::kPbftCommit: return "pbft_commit";
-    case TraceStage::kVerifyCompile: return "verify_compile";
-    case TraceStage::kVerifyEval: return "verify_eval";
-    case TraceStage::kVerifyAggUpdate: return "verify_agg_update";
-    case TraceStage::kRecoverLoad: return "recover_load";
-    case TraceStage::kRecoverReplay: return "recover_replay";
-    case TraceStage::kStateTransfer: return "state_transfer";
-  }
-  return "unknown";
-}
 
 /// Single-writer ring of fixed-size records. Every slot word is a relaxed
 /// atomic (clean under TSan even with concurrent snapshots); `head` counts
@@ -400,8 +406,10 @@ Json Tracer::ChromeTraceDoc() const {
     uint64_t dur_ns = open.end.wall_ns - open.begin.wall_ns;
     ev.Set("dur", Json::Int(dur_ns / 1000));
     // Exact figures for tooling: Chrome's ts/dur are microseconds, which
-    // quantizes sub-us spans to zero; sim-time duration rides in args.
+    // quantizes sub-us spans to zero, so the ns start and duration ride in
+    // args alongside the sim-time duration.
     Json args = make_args(open.begin);
+    args.Set("begin_ns", Json::Int(open.begin.wall_ns));
     args.Set("dur_ns", Json::Int(dur_ns));
     args.Set("sim_dur_us", Json::Int(open.end.sim_us - open.begin.sim_us));
     ev.Set("args", std::move(args));
@@ -458,7 +466,7 @@ ScopedTraceContext::~ScopedTraceContext() { t_current_context = saved_; }
 TraceSpan::TraceSpan(TraceStage stage, uint64_t arg, bool root)
     : stage_(stage) {
   Tracer& tracer = Tracer::Get();
-  if (!tracer.enabled()) return;
+  if (stage == TraceStage::kNone || !tracer.enabled()) return;
   // Non-root spans are child-only: with no sampled context on the thread
   // they stay silent, so a dropped transaction never fragments into
   // orphan phase roots.

@@ -48,12 +48,14 @@ struct TraceContext {
   bool sampled() const { return trace_id != 0; }
 };
 
-/// Span/instant taxonomy. Stages mirror the EngineMetrics phase histograms
-/// (submit/verify/crypto/token/ledger) plus the ordering pipeline and
-/// consensus hops the histograms cannot attribute per-transaction.
+/// Span/instant taxonomy — the one list of pipeline stages. The engine
+/// phases (kSubmit..kLedgerPhase) also name EngineMetrics' phase histograms,
+/// so a StageSpan (obs/trace.h) feeds both from one call; the remaining
+/// stages cover the ordering pipeline, consensus hops, verification
+/// sub-phases and recovery.
 enum class TraceStage : uint8_t {
   kNone = 0,
-  // Engine phases (span kind; taxonomy shared with EngineMetrics).
+  // Engine phases (span kind; each also an EngineMetrics histogram).
   kSubmit = 1,        ///< Whole SubmitUpdate (transaction root).
   kVerify = 2,        ///< Constraint / proof verification.
   kCrypto = 3,        ///< Commitment / encryption work.
@@ -219,10 +221,12 @@ class ScopedTraceContext {
   TraceContext saved_;
 };
 
-/// RAII span: opens a child of the thread-current context (or a new root
-/// when `root` is true or nothing is current), installs itself as current,
-/// and closes + restores on destruction. When the tracer is disabled or the
-/// trace is unsampled this is one relaxed load + branch.
+/// RAII causal span: opens a child of the thread-current context (a new
+/// root only when `root` is true), installs itself as current, and closes +
+/// restores on destruction. A non-root span with no sampled context current
+/// is child-only: it records nothing. When the tracer is disabled or the
+/// trace is unsampled this is one relaxed load + branch; kNone records
+/// nothing at all (StageSpan's histogram-only mode).
 class TraceSpan {
  public:
   explicit TraceSpan(TraceStage stage, uint64_t arg = 0, bool root = false);
@@ -302,13 +306,12 @@ static_assert(sizeof(ScopedTraceContext) <= 1,
 
 }  // namespace prever::obs
 
-/// Causal-span macros (compile to nothing under PREVER_TRACING_DISABLED;
-/// one relaxed load + branch when runtime-disabled — see trace.h for the
-/// documented zero-overhead contract shared with the histogram spans).
+/// Causal-only span macros, for stages with no histogram (verification
+/// sub-phases, WAL, recovery). They compile to nothing under
+/// PREVER_TRACING_DISABLED and cost one relaxed load + branch when
+/// runtime-disabled — see trace.h for the zero-overhead contract.
 #define PREVER_CAUSAL_SPAN(name, stage) \
   ::prever::obs::TraceSpan name(stage)
-#define PREVER_CAUSAL_ROOT_SPAN(name, stage, arg) \
-  ::prever::obs::TraceSpan name(stage, arg, /*root=*/true)
 #define PREVER_CAUSAL_INSTANT(stage, arg)        \
   ::prever::obs::Tracer::Get().Instant(          \
       ::prever::obs::Tracer::CurrentContext(), stage, arg)

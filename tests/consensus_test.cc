@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/serial.h"
 #include "consensus/pbft.h"
 #include "consensus/raft.h"
 
@@ -131,6 +132,32 @@ TEST(PbftTest, ViewChangePreservesPreparedRequests) {
   for (size_t i = 1; i < 4; ++i) {
     ASSERT_EQ(cluster.ExecutedBy(i).size(), 1u) << i;
     EXPECT_EQ(cluster.ExecutedBy(i)[0], Cmd(1));
+  }
+}
+
+TEST(PbftTest, HostileViewChangeCountIsDropped) {
+  // A Byzantine replica sends 12-byte VIEW-CHANGE and NEW-VIEW messages,
+  // [view][0xFFFFFFFF], claiming four billion prepared entries. The honest
+  // replica must reject the count against the bytes present (not size a
+  // vector from it), drop both messages, and keep committing in view 0.
+  net::SimNetwork net;
+  PbftCluster cluster(PbftConfig{4, 200 * kMillisecond}, &net);
+  cluster.Submit(Cmd(1));
+  net.RunUntilIdle();
+  BinaryWriter w;
+  w.WriteU64(1);  // View 1, whose primary is replica 1.
+  w.WriteU32(0xFFFFFFFFu);
+  constexpr uint32_t kViewChange = 5;  // PBFT wire message types.
+  constexpr uint32_t kNewView = 6;
+  net.Send(/*from=*/3, /*to=*/2, kViewChange, w.bytes());
+  net.Send(/*from=*/1, /*to=*/2, kNewView, w.bytes());
+  net.RunUntilIdle();
+  cluster.Submit(Cmd(2));
+  net.RunUntilIdle();
+  EXPECT_EQ(cluster.replica(2).view(), 0u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(cluster.ExecutedBy(i), (std::vector<Bytes>{Cmd(1), Cmd(2)}))
+        << i;
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for src/obs: counters, log-bucketed histograms (percentile accuracy,
 // merge/delta, concurrent recording), the labeled registry, exposition
-// round-trips, and the RAII tracing spans.
+// round-trips, and the StageSpan that times one pipeline stage into both
+// its histogram and the causal tracer.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/sim_clock.h"
+#include "core/engine_metrics.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
@@ -318,22 +319,30 @@ TEST(RegistryTest, ConcurrentRegistrationIsSafe) {
 
 // ------------------------------------------------------------------ spans
 
-TEST(TraceTest, ScopedSpanRecordsOnce) {
+/// StageSpan tests. Each leaves the process-wide tracer runtime-disabled,
+/// as benches expect.
+class TraceTest : public ::testing::Test {
+ protected:
+  void TearDown() override { Tracer::Get().Configure(TracerConfig{}); }
+};
+
+TEST_F(TraceTest, SecondEndIsNoOp) {
   Histogram h;
   {
-    ScopedSpan span(&h);
+    StageSpan span(&h, TraceStage::kVerify);
     span.End();
     span.End();  // Second End is a no-op.
   }
   EXPECT_EQ(h.snapshot().count, 1u);
 }
 
-TEST(TraceTest, NullHistogramDisablesSpan) {
-  ScopedSpan span(nullptr);  // Must not crash.
+TEST_F(TraceTest, NullHistogramDisablesSpan) {
+  StageSpan span(nullptr, TraceStage::kVerify);  // Must not crash.
+  span.End();
   span.End();
 }
 
-TEST(TraceTest, MacroRecordsScopeDuration) {
+TEST_F(TraceTest, MacroRecordsScopeDuration) {
   Histogram h;
   {
     PREVER_TRACE_SPAN(&h);
@@ -344,17 +353,63 @@ TEST(TraceTest, MacroRecordsScopeDuration) {
   EXPECT_EQ(h.snapshot().count, 2u);
 }
 
-TEST(TraceTest, SimSpanRecordsSimulatedMicroseconds) {
+TEST_F(TraceTest, DisabledTracerRecordsSampleButNoEvent) {
+  Tracer::Get().Configure(TracerConfig{});  // Runtime-disabled.
   Histogram h;
-  SimClock clock;
   {
-    SimScopedSpan span(&h, &clock);
-    clock.Advance(250);
+    TraceSpan root(TraceStage::kSubmit, 0, /*root=*/true);
+    StageSpan span(&h, TraceStage::kVerify);
   }
-  HistogramSnapshot s = h.snapshot();
-  EXPECT_EQ(s.count, 1u);
-  EXPECT_EQ(s.min, 250u);
-  EXPECT_EQ(s.max, 250u);
+  EXPECT_EQ(h.snapshot().count, 1u);
+  EXPECT_EQ(Tracer::Get().events_recorded(), 0u);
+}
+
+TEST_F(TraceTest, SampledRootGetsSampleAndOneBeginEndPair) {
+  TracerConfig on;
+  on.enabled = true;
+  Tracer::Get().Configure(on);
+  Histogram h;
+  uint64_t root_span_id = 0;
+  {
+    StageSpan root(nullptr, TraceStage::kSubmit, 0, /*root=*/true);
+    root_span_id = Tracer::CurrentContext().span_id;
+    StageSpan span(&h, TraceStage::kVerify);
+  }
+  // The histogram half records in every build mode.
+  EXPECT_EQ(h.snapshot().count, 1u);
+#if !defined(PREVER_TRACING_DISABLED)
+  std::vector<TraceEvent> verify;
+  for (const TraceEvent& e : Tracer::Get().Snapshot()) {
+    if (e.stage == TraceStage::kVerify) verify.push_back(e);
+  }
+  ASSERT_EQ(verify.size(), 2u);
+  EXPECT_EQ(verify[0].kind, TraceEventKind::kBegin);
+  EXPECT_EQ(verify[1].kind, TraceEventKind::kEnd);
+  EXPECT_EQ(verify[0].span_id, verify[1].span_id);
+  EXPECT_EQ(verify[0].parent_span_id, root_span_id);
+  EXPECT_NE(root_span_id, 0u);
+#else
+  EXPECT_EQ(Tracer::Get().events_recorded(), 0u);
+#endif
+}
+
+TEST_F(TraceTest, EngineMetricsPhaseLandsInStageLabeledHistogram) {
+  Registry registry;
+  core::EngineMetrics metrics("probe", &registry);
+  { auto span = metrics.Span(TraceStage::kLedgerPhase); }
+  { auto span = metrics.Span(TraceStage::kSubmit); }
+  { auto span = metrics.Span(TraceStage::kSubmit); }
+  auto count = [&](TraceStage stage) {
+    return registry
+        .GetHistogram("prever_engine_phase_ns",
+                      {{"engine", "probe"}, {"phase", TraceStageName(stage)}})
+        ->snapshot()
+        .count;
+  };
+  EXPECT_STREQ(TraceStageName(TraceStage::kLedgerPhase), "ledger_phase");
+  EXPECT_EQ(count(TraceStage::kLedgerPhase), 1u);
+  EXPECT_EQ(count(TraceStage::kSubmit), 2u);
+  EXPECT_EQ(count(TraceStage::kVerify), 0u);
 }
 
 // ------------------------------------------------------------------- json

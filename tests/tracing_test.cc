@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "trace_attribution.h"
 
 namespace prever::obs {
 namespace {
@@ -301,6 +302,57 @@ TEST_F(ObsTracing, ScopedContextInstallsAndRestores) {
 }
 
 #endif  // !PREVER_TRACING_DISABLED
+
+// trace_analyze's attribution on a hand-built submit tree (times in ns):
+//
+//   submit            [0, 100)
+//     verify          [10, 40)
+//       verify_eval   [15, 35)
+//     ledger_phase    [50, 100)
+//       queue_wait    [60, 62)
+//         consensus   [62, 150)   outlives its parent and the root
+//           ledger_append [140, 145)  entirely after the root
+//
+// Self time counts nested spans once and clips at the root's end; the
+// buckets plus the residual (the root's own time) sum to its duration.
+TEST(ObsTraceAttribution, SelfTimeAndResidualSumToRoot) {
+  using traceattr::Span;
+  auto span = [](uint64_t id, uint64_t parent, uint64_t begin, uint64_t end,
+                 const char* stage) {
+    Span s;
+    s.trace_id = 1;
+    s.span_id = id;
+    s.parent_span_id = parent;
+    s.begin_ns = begin;
+    s.dur_ns = end - begin;
+    s.stage = stage;
+    return s;
+  };
+  std::vector<Span> spans = {
+      span(1, 0, 0, 100, "submit"),
+      span(2, 1, 10, 40, "verify"),
+      span(3, 2, 15, 35, "verify_eval"),
+      span(4, 1, 50, 100, "ledger_phase"),
+      span(5, 4, 60, 62, "queue_wait"),
+      span(6, 5, 62, 150, "consensus"),
+      span(7, 6, 140, 145, "ledger_append"),
+  };
+  size_t orphans = 0;
+  std::vector<size_t> roots = traceattr::BuildForest(spans, &orphans);
+  EXPECT_EQ(orphans, 0u);
+  ASSERT_EQ(roots, std::vector<size_t>{0});
+
+  traceattr::Attribution a = traceattr::AttributeRoot(spans, roots[0]);
+  EXPECT_EQ(a.root_ns, 100u);
+  EXPECT_EQ(a.bucket_ns["verify"], 30u);      // verify 10 + verify_eval 20.
+  EXPECT_EQ(a.bucket_ns["queue-wait"], 2u);
+  EXPECT_EQ(a.bucket_ns["consensus"], 38u);   // Clipped at the root's end.
+  EXPECT_EQ(a.bucket_ns["durability"], 10u);  // ledger_phase's own time.
+  EXPECT_EQ(a.residual_ns, 20u);              // submit's own time.
+  uint64_t sum = a.residual_ns;
+  for (const auto& [bucket, ns] : a.bucket_ns) sum += ns;
+  EXPECT_EQ(sum, a.root_ns);
+}
 
 // Zero-overhead contract (src/obs/trace.h): with the tracer runtime-
 // disabled, a begin/end span pair is one relaxed atomic load and a branch.

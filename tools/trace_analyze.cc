@@ -2,9 +2,10 @@
 //
 // Reads a Chrome trace-event JSON file produced by `--trace=FILE` (schema
 // "prever.trace.v1", see src/obs/tracing.h), reconstructs the span tree of
-// every sampled transaction, and prints per-stage latency attribution:
-// queue-wait vs consensus vs durability vs verify, with exact p50/p99 from
-// the nanosecond durations carried in event args.
+// every sampled transaction, and prints per-stage p50/p99 (exact, from the
+// nanosecond durations carried in event args) plus a self-time attribution
+// of every root's wall time to queue-wait / consensus / durability /
+// verify and an unattributed residual (see trace_attribution.h).
 //
 // Usage: trace_analyze [--strict] [--tree] FILE.json
 //   --strict  exit nonzero when the trace is structurally broken (a span
@@ -23,21 +24,12 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "trace_attribution.h"
 
 namespace {
 
 using prever::obs::Json;
-
-struct Span {
-  uint64_t trace_id = 0;
-  uint64_t span_id = 0;
-  uint64_t parent_span_id = 0;
-  uint64_t dur_ns = 0;
-  uint64_t sim_dur_us = 0;
-  uint64_t ts_us = 0;
-  std::string stage;
-  std::vector<size_t> children;
-};
+using prever::traceattr::Span;
 
 uint64_t ArgU64(const Json& ev, const char* key) {
   const Json* args = ev.Find("args");
@@ -57,26 +49,6 @@ std::string ReadFile(const char* path) {
   }
   std::fclose(f);
   return text;
-}
-
-// The four attribution buckets of the paper's transaction path. Phase spans
-// recorded inside engines (verify/crypto/token) are all verification work;
-// ledger/WAL appends are durability; queue-wait and consensus come from the
-// ordering pipeline. "submit" spans are whole-transaction roots and are
-// reported separately as end-to-end time, not attributed to a bucket.
-const char* Bucket(const std::string& stage) {
-  if (stage == "queue_wait") return "queue-wait";
-  if (stage == "consensus") return "consensus";
-  if (stage == "ledger_append" || stage == "wal_append" ||
-      stage == "ledger_phase") {
-    return "durability";
-  }
-  if (stage == "verify" || stage == "crypto" || stage == "token" ||
-      stage == "verify_compile" || stage == "verify_eval" ||
-      stage == "verify_agg_update") {
-    return "verify";
-  }
-  return nullptr;
 }
 
 uint64_t Percentile(std::vector<uint64_t>& v, double p) {
@@ -160,30 +132,16 @@ int main(int argc, char** argv) {
     s.parent_span_id = ArgU64(ev, "parent_span_id");
     s.dur_ns = ArgU64(ev, "dur_ns");
     s.sim_dur_us = ArgU64(ev, "sim_dur_us");
+    // Exact start from args; traces exported before it existed fall back
+    // to the microsecond "ts".
+    s.begin_ns = ArgU64(ev, "begin_ns");
     const Json* ts = ev.Find("ts");
-    s.ts_us = ts != nullptr ? ts->AsUint64() : 0;
+    if (s.begin_ns == 0 && ts != nullptr) s.begin_ns = ts->AsUint64() * 1000;
     spans.push_back(std::move(s));
   }
 
-  // Rebuild trees: span_id -> index, then attach children to parents.
-  std::unordered_map<uint64_t, size_t> by_id;
-  by_id.reserve(spans.size());
-  for (size_t i = 0; i < spans.size(); ++i) by_id[spans[i].span_id] = i;
-  std::vector<size_t> roots;
   size_t orphans = 0;
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (spans[i].parent_span_id == 0) {
-      roots.push_back(i);
-      continue;
-    }
-    auto it = by_id.find(spans[i].parent_span_id);
-    if (it == by_id.end()) {
-      ++orphans;  // Ancestor lost to ring wrap-around (or a bug: --strict).
-      roots.push_back(i);
-    } else {
-      spans[it->second].children.push_back(i);
-    }
-  }
+  std::vector<size_t> roots = prever::traceattr::BuildForest(spans, &orphans);
   std::unordered_map<uint64_t, size_t> spans_per_trace;
   for (const Span& s : spans) ++spans_per_trace[s.trace_id];
 
@@ -217,26 +175,27 @@ int main(int argc, char** argv) {
                 static_cast<double>(total) / 1e6);
   }
 
-  // Critical-path attribution: share of bucketed time per bucket. Stages
-  // nest (verify inside submit), so buckets are computed over leaf-phase
-  // stages only — Bucket() excludes the "submit" roots.
-  std::map<std::string, uint64_t> bucket_total;
-  uint64_t attributed = 0;
-  for (const Span& s : spans) {
-    const char* b = Bucket(s.stage);
-    if (b == nullptr) continue;
-    bucket_total[b] += s.dur_ns;
-    attributed += s.dur_ns;
-  }
-  std::printf("\n  critical-path attribution (share of attributed time):\n");
-  for (const auto& [bucket, total] : bucket_total) {
-    double share = attributed == 0
+  // Critical-path attribution by self time: each root's wall time split
+  // into the four buckets plus the residual no bucketed span covers, so
+  // nested spans count once and the rows sum to the roots' total.
+  prever::traceattr::Attribution total;
+  for (size_t r : roots) total.Add(prever::traceattr::AttributeRoot(spans, r));
+  auto row = [&](const char* name, uint64_t ns) {
+    double share = total.root_ns == 0
                        ? 0.0
-                       : 100.0 * static_cast<double>(total) /
-                             static_cast<double>(attributed);
-    std::printf("  %-12s %10.3f ms  %6.2f%%\n", bucket.c_str(),
-                static_cast<double>(total) / 1e6, share);
-  }
+                       : 100.0 * static_cast<double>(ns) /
+                             static_cast<double>(total.root_ns);
+    std::printf("  %-12s %10.3f ms  %6.2f%%  %10.3f us/root\n", name,
+                static_cast<double>(ns) / 1e6, share,
+                roots.empty() ? 0.0
+                              : static_cast<double>(ns) / 1e3 /
+                                    static_cast<double>(roots.size()));
+  };
+  std::printf("\n  critical-path attribution (self time, share of %zu roots' "
+              "%.3f ms):\n",
+              roots.size(), static_cast<double>(total.root_ns) / 1e6);
+  for (const auto& [bucket, ns] : total.bucket_ns) row(bucket.c_str(), ns);
+  row("residual", total.residual_ns);
 
   if (!instants.empty()) {
     std::printf("\n  instants:\n");
