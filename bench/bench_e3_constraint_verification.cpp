@@ -14,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.h"
 #include "constraint/parser.h"
@@ -120,6 +121,82 @@ void BM_CompiledVerifyCommit(benchmark::State& state) {
       static_cast<double>(stats.compiled_constraints);
 }
 BENCHMARK(BM_CompiledVerifyCommit)->Arg(64)->Arg(100)->Arg(1000)->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
+
+// The mixed-workload counterpart of BM_CompiledVerifyCommit: each verify is
+// followed by an upsert of a live row (often moving it to another worker)
+// or, every fourth iteration, a delete. Every committed pre-image must be
+// retracted from the cache instead of forcing a full-table rebuild:
+// agg_rebuilds stays O(1) while agg_retractions tracks the iterations.
+void BM_CompiledVerifyUpsertDelete(benchmark::State& state) {
+  int64_t rows = state.range(0);
+  storage::Database db;
+  storage::Schema schema({{"id", storage::ValueType::kString},
+                          {"worker", storage::ValueType::kString},
+                          {"hours", storage::ValueType::kInt64},
+                          {"at", storage::ValueType::kTimestamp}});
+  (void)db.CreateTable("worklog", schema);
+  constraint::ConstraintCatalog catalog;
+  (void)catalog.Add("cap", constraint::ConstraintScope::kInternal,
+                    constraint::ConstraintVisibility::kPublic,
+                    "SUM(worklog.hours WHERE worker = update.worker "
+                    "WINDOW 7d) + update.hours <= 1000000000");
+  constraint::CompiledVerifier verifier(&catalog, &db);
+  auto upsert = [&db](int64_t key, int64_t worker, int64_t hours,
+                      int64_t minute) {
+    storage::Mutation m;
+    m.op = storage::Mutation::Op::kUpsert;
+    m.table = "worklog";
+    m.row = {storage::Value::String("t" + std::to_string(key)),
+             storage::Value::String("w" + std::to_string(worker % 10)),
+             storage::Value::Int64(hours),
+             storage::Value::Timestamp(static_cast<SimTime>(minute) * kMinute)};
+    (void)db.Apply(m);
+  };
+  for (int64_t i = 0; i < rows; ++i) upsert(i, i, 1, i);
+  constraint::UpdateFields fields = {
+      {"worker", storage::Value::String("w3")},
+      {"hours", storage::Value::Int64(2)}};
+  std::vector<bool> live(static_cast<size_t>(rows), true);
+  int64_t i = 0;
+  obs::Histogram* op =
+      benchutil::OpHistogram("e3", "compiled_verify_upsert_delete");
+  for (auto _ : state) {
+    PREVER_TRACE_SPAN(op);
+    const int64_t now = rows + i;
+    constraint::EvalContext ctx{&db, &fields,
+                                static_cast<SimTime>(now) * kMinute};
+    Status ok = verifier.VerifyAll(ctx);
+    benchmark::DoNotOptimize(ok);
+    const int64_t key = (i * 7919) % rows;
+    if (i % 4 == 3 && live[static_cast<size_t>(key)]) {
+      storage::Mutation del;
+      del.op = storage::Mutation::Op::kDelete;
+      del.table = "worklog";
+      del.key = storage::Value::String("t" + std::to_string(key));
+      (void)db.Apply(del);
+      live[static_cast<size_t>(key)] = false;
+    } else {
+      upsert(key, key + i / 3, 1 + i % 3, now);  // Often a new worker.
+      live[static_cast<size_t>(key)] = true;
+    }
+    ++i;
+  }
+  auto stats = verifier.stats();
+  state.counters["verifies/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+  state.counters["agg_cache_hits"] =
+      static_cast<double>(stats.agg.cache_hits);
+  state.counters["agg_rebuilds"] =
+      static_cast<double>(stats.agg.cache_builds);
+  state.counters["agg_delta_applies"] =
+      static_cast<double>(stats.agg.delta_applies);
+  state.counters["agg_retractions"] =
+      static_cast<double>(stats.agg.retractions);
+  state.counters["compiled"] =
+      static_cast<double>(stats.compiled_constraints);
+}
+BENCHMARK(BM_CompiledVerifyUpsertDelete)->Arg(100)->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
 // Pure read steady state: verifies with no interleaved commits and a fixed

@@ -246,7 +246,7 @@ label, out_path, tmp = sys.argv[1], sys.argv[2], sys.argv[3]
 cases = load_benchmark_cases(
     os.path.join(tmp, "verify.json"),
     extra_keys=("agg_cache_hits", "agg_rebuilds", "agg_delta_applies",
-                "compiled", "fast_path"))
+                "agg_retractions", "compiled", "fast_path"))
 
 # Interpreter wall time per table size, from the tree-walking baseline.
 interp_ms = {}

@@ -284,6 +284,40 @@ else
 fi
 rm -f "$verify_json"
 
+# Mixed workload: the same compiled check under upserts of live rows (with
+# owner changes) and deletes. Every committed pre-image must be retracted
+# from the aggregate cache, not answered with a full rebuild — the same
+# rebuild bound as the insert-only case above.
+mixed_json="$(mktemp)"
+if "$BENCH_DIR/bench_e3_constraint_verification" \
+      --benchmark_filter='BM_CompiledVerifyUpsertDelete/100$' \
+      --benchmark_min_time=0.01s \
+      --benchmark_out="$mixed_json" --benchmark_out_format=json \
+      >/dev/null 2>&1 && "$PYTHON" - "$mixed_json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+cases = [b for b in doc.get("benchmarks", [])
+         if b.get("run_type") != "aggregate"]
+assert cases, "upsert/delete verify case did not run"
+b = cases[0]
+for key in ("verifies/s", "agg_rebuilds", "agg_retractions", "compiled"):
+    assert key in b, f"missing counter {key}"
+assert b["compiled"] > 0, "constraint fell back to the interpreter"
+assert b["agg_rebuilds"] <= 2, \
+    f"{b['agg_rebuilds']:.0f} rebuilds: upserts/deletes force rescans"
+assert b["agg_retractions"] >= b["iterations"] / 2, \
+    "committed pre-images not flowing through the retraction path"
+print(f"rebuilds={b['agg_rebuilds']:.0f} "
+      f"retractions={b['agg_retractions']:.0f} over {b['iterations']} commits")
+EOF
+then
+  echo "bench_smoke: OK compiled verification under upserts/deletes"
+else
+  echo "bench_smoke: FAIL compiled verification under upserts/deletes" >&2
+  fail=1
+fi
+rm -f "$mixed_json"
+
 # BENCH_consensus.json (written by bench_perf.sh) must stay parseable, and
 # every pipelined case in it must carry throughput + latency + the derived
 # stop-and-wait speedup.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mutate/mutation.h"
+#include "obs/registry.h"
 
 namespace prever::constraint {
 
@@ -20,6 +21,33 @@ int64_t WrapAdd(int64_t a, int64_t b) {
 int64_t WrapSub(int64_t a, int64_t b) {
   return static_cast<int64_t>(static_cast<uint64_t>(a) -
                               static_cast<uint64_t>(b));
+}
+
+/// Process-wide sums of every cache's Stats, so the maintenance cost shows
+/// in the registry's exposition (and each bench's PREVER_METRICS_JSON).
+struct CacheCounters {
+  obs::Counter* builds;
+  obs::Counter* delta_applies;
+  obs::Counter* retractions;
+  obs::Counter* invalidations;
+  obs::Counter* scan_evals;
+};
+
+const CacheCounters& Counters() {
+  static const CacheCounters counters = [] {
+    obs::Registry& r = obs::Registry::Default();
+    return CacheCounters{r.GetCounter("prever_verify_agg_builds_total"),
+                         r.GetCounter("prever_verify_agg_delta_applies_total"),
+                         r.GetCounter("prever_verify_agg_retractions_total"),
+                         r.GetCounter("prever_verify_agg_invalidations_total"),
+                         r.GetCounter("prever_verify_agg_scan_evals_total")};
+  }();
+  return counters;
+}
+
+void Bump(uint64_t& stat, obs::Counter* counter) {
+  ++stat;
+  counter->Inc();
 }
 
 bool IsNumericType(ValueType t) {
@@ -42,7 +70,8 @@ bool NormalizeGroupKey(const Value& v, ValueType column_type, Value* out) {
     if (!v.is_bool()) return false;
     key = v;
   }
-  *out = PREVER_MUTATION(AGG_CACHE_GROUP_COLLAPSE, key, Value::Int64(0));
+  *out = PREVER_MUTATION(AGG_CACHE_GROUP_COLLAPSE, std::move(key),
+                         Value::Int64(0));
   return true;
 }
 
@@ -62,6 +91,9 @@ AggregateCache::SpecCache& AggregateCache::GetOrBind(
   sc.bound = std::move(*bound);
   sc.bound_ok = true;
   sc.needs_value = !spec.exists && spec.agg != AggregateKind::kCount;
+  sc.tracks_extrema = spec.window == 0 && !spec.exists &&
+                      (spec.agg == AggregateKind::kMin ||
+                       spec.agg == AggregateKind::kMax);
   sc.cacheable = spec.cache_candidate && !sc.bound.row_pred_reads_update;
   if (sc.needs_value && !IsNumericType(sc.bound.column_type)) {
     sc.cacheable = false;  // Scan path owns the per-row AsNumeric error.
@@ -81,8 +113,10 @@ AggregateCache::SpecCache& AggregateCache::GetOrBind(
   return sc;
 }
 
-Status AggregateCache::FoldRow(SpecCache& sc, const AggregateSpec& spec,
-                               const Row& row, bool is_delta) {
+Status AggregateCache::Contribute(const SpecCache& sc,
+                                  const AggregateSpec& spec, const Row& row,
+                                  Contribution* c) {
+  c->matches = false;
   if (!sc.bound.row_pred.insns.empty()) {
     EvalContext pred_ctx;
     // Row predicates in the cacheable class are update-free by
@@ -95,64 +129,143 @@ Status AggregateCache::FoldRow(SpecCache& sc, const AggregateSpec& spec,
     }
     if (!pred.b) return Status::Ok();
   }
-  GroupState* g = &sc.global;
-  if (sc.has_group) {
-    Value key;
-    if (!NormalizeGroupKey(row[sc.group_col_idx], sc.group_col_type, &key)) {
-      // Schema-validated rows always match the column type; treat a
-      // mismatch as poison so the scan path takes over.
-      return Status::Internal("group key type mismatch");
-    }
-    g = &sc.groups[key];
+  if (sc.has_group &&
+      !NormalizeGroupKey(row[sc.group_col_idx], sc.group_col_type, &c->key)) {
+    // Schema-validated rows always match the column type; treat a
+    // mismatch as poison so the scan path takes over.
+    return Status::Internal("group key type mismatch");
   }
-  int64_t v = 0;
   if (sc.needs_value) {
-    PREVER_ASSIGN_OR_RETURN(v, row[sc.bound.column_idx].AsNumeric());
+    PREVER_ASSIGN_OR_RETURN(c->value, row[sc.bound.column_idx].AsNumeric());
   }
-  g->all.Add(v);
   if (spec.window != 0) {
-    PREVER_ASSIGN_OR_RETURN(SimTime ts, row[sc.bound.ts_idx].AsTimestamp());
-    if (!is_delta) {
-      g->entries.emplace_back(ts, v);  // Sorted once after the build scan.
-      return Status::Ok();
-    }
-    const size_t idx = g->entries.size();
-    if (g->entries.empty() || ts >= g->entries.back().first) {
-      g->entries.emplace_back(ts, v);
-      if (g->cursor_valid) {
-        if (ts > g->cur_now) {
-          // Beyond the cursor's hi edge; picked up when `now` advances.
-        } else if (ts > g->cur_start) {
-          if (idx != g->hi) {
-            g->cursor_valid = false;  // Future rows already beyond hi.
-          } else {
-            ++g->win_count;
-            g->win_sum = WrapAdd(g->win_sum, v);
-            PushWindowIndex(*g, idx);
-            g->hi = idx + 1;
-          }
+    PREVER_ASSIGN_OR_RETURN(c->ts, row[sc.bound.ts_idx].AsTimestamp());
+  }
+  c->matches = true;
+  return Status::Ok();
+}
+
+Status AggregateCache::FoldRow(SpecCache& sc, const AggregateSpec& spec,
+                               const Row& row, bool is_delta) {
+  Contribution c;
+  PREVER_RETURN_IF_ERROR(Contribute(sc, spec, row, &c));
+  if (!c.matches) return Status::Ok();
+  GroupState* g = sc.has_group ? &sc.groups[c.key] : &sc.global;
+  const int64_t v = c.value;
+  if (spec.window == 0) {
+    g->all.Add(v);
+    if (sc.tracks_extrema) ++g->extrema[v];
+    return Status::Ok();
+  }
+  const SimTime ts = c.ts;
+  if (!is_delta) {
+    g->entries.emplace_back(ts, v);  // Sorted once after the build scan.
+    return Status::Ok();
+  }
+  const size_t idx = g->entries.size();
+  if (g->entries.empty() || ts >= g->entries.back().first) {
+    g->entries.emplace_back(ts, v);
+    if (g->cursor_valid) {
+      if (ts > g->cur_now) {
+        // Beyond the cursor's hi edge; picked up when `now` advances.
+      } else if (ts > g->cur_start) {
+        if (idx != g->hi) {
+          g->cursor_valid = false;  // Future rows already beyond hi.
         } else {
-          // Older than the window; only reachable when the window is empty
-          // (sorted append ⇒ every in-window entry would precede it).
-          if (g->lo == g->hi && g->hi == idx) {
-            g->lo = g->hi = idx + 1;
-          } else {
-            g->cursor_valid = false;
-          }
+          ++g->win_count;
+          g->win_sum = WrapAdd(g->win_sum, v);
+          PushWindowIndex(*g, idx);
+          g->hi = idx + 1;
+        }
+      } else {
+        // Older than the window; only reachable when the window is empty
+        // (sorted append ⇒ every in-window entry would precede it).
+        if (g->lo == g->hi && g->hi == idx) {
+          g->lo = g->hi = idx + 1;
+        } else {
+          g->cursor_valid = false;
         }
       }
-    } else {
-      // Out-of-order timestamp: sorted insert, cursor rebuilt on demand.
-      auto it = std::upper_bound(
-          g->entries.begin(), g->entries.end(), std::make_pair(ts, v),
-          [](const auto& a, const auto& b) { return a.first < b.first; });
-      g->entries.insert(it, {ts, v});
+    }
+  } else {
+    // Out-of-order timestamp: sorted insert, cursor rebuilt on demand.
+    auto it = std::upper_bound(
+        g->entries.begin(), g->entries.end(), std::make_pair(ts, v),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    g->entries.insert(it, {ts, v});
+    g->cursor_valid = false;
+    g->min_dq.clear();
+    g->max_dq.clear();
+  }
+  return Status::Ok();
+}
+
+Status AggregateCache::RetractRow(SpecCache& sc, const AggregateSpec& spec,
+                                  const Row& row) {
+  Contribution c;
+  PREVER_RETURN_IF_ERROR(Contribute(sc, spec, row, &c));
+  if (!c.matches) return Status::Ok();
+  GroupState* g = &sc.global;
+  auto git = sc.groups.end();
+  if (sc.has_group) {
+    git = sc.groups.find(c.key);
+    if (git == sc.groups.end()) {
+      return Status::Internal("retracted row has no cached group");
+    }
+    g = &git->second;
+  }
+  bool emptied;
+  if (spec.window == 0) {
+    if (g->all.count == 0) return Status::Internal("retract from empty group");
+    --g->all.count;
+    g->all.sum = WrapSub(g->all.sum, c.value);
+    if (sc.tracks_extrema) {
+      auto it = g->extrema.find(c.value);
+      if (it == g->extrema.end()) {
+        return Status::Internal("retracted value missing from extrema");
+      }
+      if (PREVER_MUTATION(AGG_CACHE_EXTREMUM_STALE, true, false) &&
+          --it->second == 0) {
+        g->extrema.erase(it);
+      }
+      if (!g->extrema.empty()) {
+        g->all.min = g->extrema.begin()->first;
+        g->all.max = g->extrema.rbegin()->first;
+      }
+    }
+    emptied = g->all.count == 0;
+  } else {
+    // Entries with equal (ts, value) are interchangeable for every
+    // aggregate, so removing the first match is exact.
+    auto it = std::lower_bound(
+        g->entries.begin(), g->entries.end(), c.ts,
+        [](const auto& e, SimTime t) { return e.first < t; });
+    while (it != g->entries.end() && it->first == c.ts &&
+           it->second != c.value) {
+      ++it;
+    }
+    if (it == g->entries.end() || it->first != c.ts) {
+      return Status::Internal("retracted window entry not found");
+    }
+    if (PREVER_MUTATION(AGG_CACHE_RETRACT_WINDOW_SKIP, true, false)) {
+      g->entries.erase(it);
+      // Indices past the removed entry shifted: the next AdvanceCursor
+      // refolds this group's window (and only this group's).
       g->cursor_valid = false;
       g->min_dq.clear();
       g->max_dq.clear();
     }
+    emptied = g->entries.empty();
   }
+  if (emptied && sc.has_group) sc.groups.erase(git);
   return Status::Ok();
+}
+
+void AggregateCache::Poison(SpecCache& sc) {
+  sc.cacheable = false;
+  sc.built = false;
+  sc.groups.clear();
+  sc.global = GroupState{};
 }
 
 void AggregateCache::PushWindowIndex(GroupState& g, size_t idx) {
@@ -219,8 +332,7 @@ void AggregateCache::AdvanceCursor(GroupState& g, SimTime start,
   g.cur_now = now;
 }
 
-Result<Value> AggregateCache::FinishGroup(const SpecCache& sc,
-                                          const AggregateSpec& spec,
+Result<Value> AggregateCache::FinishGroup(const AggregateSpec& spec,
                                           const GroupState* g, SimTime start,
                                           SimTime now,
                                           bool* needs_write) const {
@@ -260,9 +372,7 @@ Status AggregateCache::BuildSpec(SpecCache& sc, const AggregateSpec& spec,
     // Poison: a row predicate errored on some (possibly out-of-window) row.
     // The scan path reproduces the interpreter's exact behavior, including
     // *not* erroring when that row never enters any window.
-    sc.cacheable = false;
-    sc.groups.clear();
-    sc.global = GroupState{};
+    Poison(sc);
     return err;
   }
   auto sort_entries = [](GroupState& g) {
@@ -276,7 +386,7 @@ Status AggregateCache::BuildSpec(SpecCache& sc, const AggregateSpec& spec,
   for (auto& [key, g] : sc.groups) sort_entries(g);
   sc.built = true;
   sc.synced_mod = table.mod_count();
-  ++stats_.cache_builds;
+  Bump(stats_.cache_builds, Counters().builds);
   return Status::Ok();
 }
 
@@ -291,7 +401,7 @@ Result<Value> AggregateCache::Evaluate(const AggregateSpec& spec,
   SpecCache& sc = GetOrBind(spec, table->schema());
   if (!sc.bound_ok) return sc.bind_status;
   auto scan = [&]() {
-    ++stats_.scan_evals;
+    Bump(stats_.scan_evals, Counters().scan_evals);
     return EvaluateSpecByScan(sc.bound, ctx, batches);
   };
   if (!sc.cacheable) return scan();
@@ -321,7 +431,7 @@ Result<Value> AggregateCache::Evaluate(const AggregateSpec& spec,
   const SimTime start = WindowStart(spec.window, ctx.now);
   if (g != nullptr && spec.window != 0) AdvanceCursor(*g, start, ctx.now);
   ++stats_.cache_hits;
-  return FinishGroup(sc, spec, g, start, ctx.now, nullptr);
+  return FinishGroup(spec, g, start, ctx.now, nullptr);
 }
 
 bool AggregateCache::TryReadEvaluate(const AggregateSpec& spec,
@@ -356,44 +466,36 @@ bool AggregateCache::TryReadEvaluate(const AggregateSpec& spec,
   }
   const SimTime start = WindowStart(spec.window, ctx.now);
   bool needs_write = false;
-  Result<Value> r = FinishGroup(sc, spec, g, start, ctx.now, &needs_write);
+  Result<Value> r = FinishGroup(spec, g, start, ctx.now, &needs_write);
   if (needs_write) return false;
   *out = std::move(r);
   return true;
 }
 
 void AggregateCache::OnCommitted(const Mutation& mutation,
-                                 const storage::Database& db) {
-  (void)db;
+                                 const Row* before) {
   for (auto& [spec, sc] : specs_) {
     if (spec->table != mutation.table) continue;
     if (!sc->bound_ok || !sc->cacheable || !sc->built) continue;
     // The observer fires once per successful Apply, so the synced counter
     // stays in lock-step with the table's mod_count without re-reading it.
     ++sc->synced_mod;
-    if (mutation.op == Mutation::Op::kInsert) {
-      if (PREVER_MUTATION(AGG_CACHE_DELTA_SKIP, true, false)) {
-        Status folded = FoldRow(*sc, *spec, mutation.row, /*is_delta=*/true);
-        if (!folded.ok()) {
-          sc->cacheable = false;
-          sc->built = false;
-          sc->groups.clear();
-          sc->global = GroupState{};
-          continue;
-        }
-        ++stats_.delta_applies;
+    Status s;
+    if (before != nullptr) {
+      if (PREVER_MUTATION(AGG_CACHE_RETRACT_SKIP, true, false)) {
+        s = RetractRow(*sc, *spec, *before);
+        if (s.ok()) Bump(stats_.retractions, Counters().retractions);
       }
-    } else {
-      // Update/upsert/delete mutate or remove existing rows: running
-      // MIN/MAX (and group membership) cannot be decremented, so bump the
-      // epoch — the next query rebuilds from a fresh scan.
-      if (PREVER_MUTATION(AGG_CACHE_EPOCH_SKIP, true, false)) {
-        sc->built = false;
-        sc->groups.clear();
-        sc->global = GroupState{};
-        ++stats_.invalidations;
-      }
+    } else if (mutation.op == Mutation::Op::kUpdate ||
+               mutation.op == Mutation::Op::kDelete) {
+      s = Status::Internal("pre-image missing for a non-insert commit");
     }
+    if (s.ok() && mutation.op != Mutation::Op::kDelete &&
+        PREVER_MUTATION(AGG_CACHE_DELTA_SKIP, true, false)) {
+      s = FoldRow(*sc, *spec, mutation.row, /*is_delta=*/true);
+      if (s.ok()) Bump(stats_.delta_applies, Counters().delta_applies);
+    }
+    if (!s.ok()) Poison(*sc);
   }
 }
 
@@ -404,7 +506,7 @@ void AggregateCache::InvalidateAll() {
     sc->groups.clear();
     sc->global = GroupState{};
   }
-  ++stats_.invalidations;
+  Bump(stats_.invalidations, Counters().invalidations);
 }
 
 }  // namespace prever::constraint

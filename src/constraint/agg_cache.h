@@ -17,18 +17,26 @@ namespace prever::constraint {
 ///
 /// The cacheable class is AGG(table.col [WHERE rowpred AND col = update.f]
 /// [WINDOW w]): one GroupState per distinct selector value, holding
-///   - all-time running COUNT/SUM/MIN/MAX (O(1) per committed insert), and
+///   - for all-time aggregates, a running COUNT/SUM/MIN/MAX fold, plus —
+///     only when the aggregate is MIN or MAX — a counted ordered map
+///     (value → multiplicity) so a retracted extremum can be replaced;
 ///   - for windowed aggregates, a ts-sorted entry list with a [lo, hi)
 ///     cursor over the half-open window (now - w, now], win_count/win_sum
 ///     running totals and monotonic min/max deques. Monotone `now` and
 ///     append-order timestamps advance the cursor in O(1) amortized; a
-///     regression (time moving backwards, out-of-order insert) rebuilds the
-///     cursor from the sorted entries instead of corrupting it.
+///     regression (time moving backwards, out-of-order insert, removed
+///     entry) refolds that group's window from its sorted entries.
 ///
-/// Deltas arrive through Database commit observers: inserts fold into the
-/// group state directly; updates/upserts/deletes epoch-invalidate every
-/// spec on that table (lazy rebuild on next query). Anything outside the
-/// cacheable class evaluates per query through the vectorized columnar
+/// Deltas arrive through Database commit observers, which pass the row a
+/// mutation replaced or removed. Every committed mutation first retracts
+/// that pre-image from its group (COUNT/SUM/AVG subtract with wrapping
+/// arithmetic, MIN/MAX decrement the multiplicity, windowed groups drop one
+/// matching (ts, value) entry and invalidate their cursor), then folds the
+/// new row in. A row whose group changed leaves one group and joins the
+/// other; an emptied group is dropped. A retraction or fold that cannot be
+/// made exactly (the row predicate errors, the group key type mismatches)
+/// poisons only that spec, which then evaluates by scan. Anything outside
+/// the cacheable class evaluates per query through the vectorized columnar
 /// scan, with the scalar row loop as the exact-semantics fallback.
 ///
 /// Lifetime: state is keyed by AggregateSpec address and OnCommitted
@@ -39,14 +47,16 @@ namespace prever::constraint {
 ///
 /// Not internally synchronized: the CompiledVerifier serializes mutating
 /// access and uses TryReadEvaluate under a shared lock for the steady-state
-/// read path.
+/// read path. The Stats counters are also exported, summed over every
+/// cache in the process, as `prever_verify_agg_*` registry counters.
 class AggregateCache {
  public:
   struct Stats {
     uint64_t cache_hits = 0;      ///< Served from incremental state.
     uint64_t cache_builds = 0;    ///< Full-scan (re)builds of a spec cache.
-    uint64_t delta_applies = 0;   ///< Committed inserts folded in.
-    uint64_t invalidations = 0;   ///< Epoch invalidations (rollback path).
+    uint64_t delta_applies = 0;   ///< Committed rows folded in.
+    uint64_t retractions = 0;     ///< Replaced/removed rows retracted.
+    uint64_t invalidations = 0;   ///< InvalidateAll calls.
     uint64_t scan_evals = 0;      ///< Non-cacheable specs evaluated by scan.
   };
 
@@ -62,19 +72,22 @@ class AggregateCache {
   bool TryReadEvaluate(const AggregateSpec& spec, const EvalContext& ctx,
                        Result<storage::Value>* out) const;
 
-  /// Commit observer: folds an insert delta into every affected spec, or
-  /// epoch-invalidates on anything that is not a plain insert.
+  /// Commit observer: for every affected spec, retracts `before` (the row
+  /// the mutation replaced or removed; null for an insert or an upsert of
+  /// a new key) and folds in the mutation's new row.
   void OnCommitted(const storage::Mutation& mutation,
-                   const storage::Database& db);
+                   const storage::Row* before);
 
-  /// Drops every cached group state (epoch bump); lazily rebuilt.
+  /// Drops every cached group state; lazily rebuilt on next use.
   void InvalidateAll();
 
   const Stats& stats() const { return stats_; }
 
  private:
   struct GroupState {
-    FoldState all;  ///< All-time fold.
+    FoldState all;  ///< All-time fold; only maintained for all-time specs.
+    /// value → multiplicity; only maintained for all-time MIN/MAX specs.
+    std::map<int64_t, int64_t> extrema;
     /// (ts, value) sorted by ts; only populated for windowed specs.
     std::vector<std::pair<SimTime, int64_t>> entries;
     bool cursor_valid = false;
@@ -95,24 +108,42 @@ class AggregateCache {
     size_t group_col_idx = 0;
     storage::ValueType group_col_type = storage::ValueType::kInt64;
     bool needs_value = false;
+    bool tracks_extrema = false;  ///< All-time MIN/MAX: keep `extrema`.
     bool built = false;
     uint64_t synced_mod = 0;  ///< Table mod_count the cache reflects.
     std::map<storage::Value, GroupState> groups;
     GroupState global;
   };
 
+  /// What one row contributes to a spec: nothing when the row predicate
+  /// rejects it, otherwise a value (and, for windowed specs, a timestamp)
+  /// in the group named by `key`.
+  struct Contribution {
+    bool matches = false;
+    storage::Value key;  ///< Normalized group key; unset without selector.
+    int64_t value = 0;
+    SimTime ts = 0;
+  };
+
   SpecCache& GetOrBind(const AggregateSpec& spec, const storage::Schema& schema);
   Status BuildSpec(SpecCache& sc, const AggregateSpec& spec,
                    const storage::Table& table);
+  static Status Contribute(const SpecCache& sc, const AggregateSpec& spec,
+                           const storage::Row& row, Contribution* c);
   /// Folds one row into a spec cache (applying the row predicate). Build
   /// scans pass is_delta=false (entries sorted once afterwards); commit
   /// deltas pass true and keep the window cursor incrementally correct.
   Status FoldRow(SpecCache& sc, const AggregateSpec& spec,
                  const storage::Row& row, bool is_delta);
+  /// Removes one previously folded row from its group (the inverse of a
+  /// FoldRow). Errors when the row cannot be found in the cached state.
+  Status RetractRow(SpecCache& sc, const AggregateSpec& spec,
+                    const storage::Row& row);
+  /// Drops a spec's state for good: it evaluates by scan from now on.
+  static void Poison(SpecCache& sc);
   void AdvanceCursor(GroupState& g, SimTime start, SimTime now) const;
   static void PushWindowIndex(GroupState& g, size_t idx);
-  Result<storage::Value> FinishGroup(const SpecCache& sc,
-                                     const AggregateSpec& spec,
+  Result<storage::Value> FinishGroup(const AggregateSpec& spec,
                                      const GroupState* g, SimTime start,
                                      SimTime now, bool* needs_write) const;
 

@@ -4,19 +4,44 @@
 
 #include "constraint/eval.h"
 #include "mutate/mutation.h"
+#include "obs/registry.h"
 #include "obs/tracing.h"
 
 namespace prever::constraint {
+
+namespace {
+
+/// Process-wide sums of every verifier's Stats (see AggregateCache for the
+/// cache's own `prever_verify_agg_*` counters).
+struct VerifierCounters {
+  obs::Counter* fast_path;
+  obs::Counter* slow_path;
+  obs::Counter* interpreted;
+};
+
+const VerifierCounters& Counters() {
+  static const VerifierCounters counters = [] {
+    obs::Registry& r = obs::Registry::Default();
+    return VerifierCounters{
+        r.GetCounter("prever_verify_fast_path_total"),
+        r.GetCounter("prever_verify_slow_path_total"),
+        r.GetCounter("prever_verify_interpreted_constraints_total")};
+  }();
+  return counters;
+}
+
+}  // namespace
 
 CompiledVerifier::CompiledVerifier(const ConstraintCatalog* catalog,
                                    storage::Database* db)
     : catalog_(catalog), db_(db) {
   if (db_ != nullptr) {
     observer_id_ = db_->AddCommitObserver(
-        [this](const storage::Mutation& mutation, uint64_t /*version*/) {
+        [this](const storage::Mutation& mutation, const storage::Row* before,
+               uint64_t /*version*/) {
           PREVER_CAUSAL_SPAN(causal_agg, obs::TraceStage::kVerifyAggUpdate);
           std::unique_lock lock(mu_);
-          agg_cache_.OnCommitted(mutation, *db_);
+          agg_cache_.OnCommitted(mutation, before);
         });
   }
 }
@@ -45,6 +70,7 @@ void CompiledVerifier::RefreshLocked() {
       ++stats_.compiled_constraints;
     } else {
       ++stats_.interpreted_constraints;
+      Counters().interpreted->Inc();
     }
     entries_.push_back(std::move(e));
   }
@@ -149,11 +175,13 @@ Status CompiledVerifier::VerifyAll(const EvalContext& ctx) {
   Status out;
   if (TryVerifyAllShared(ctx, &out)) {
     fast_path_verifies_.fetch_add(1, std::memory_order_relaxed);
+    Counters().fast_path->Inc();
     return out;
   }
   std::unique_lock lock(mu_);
   RefreshLocked();
   ++stats_.slow_path_verifies;
+  Counters().slow_path->Inc();
   for (const Entry& e : entries_) {
     PREVER_RETURN_IF_ERROR(CheckOneLocked(e, ctx));
   }

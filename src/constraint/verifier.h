@@ -29,8 +29,12 @@ namespace prever::constraint {
 /// (bytecode + warm cache state, O(1) amortized per update); anything that
 /// needs maintenance — first compile, catalog drift, cold or stale caches,
 /// window-cursor movement — retries under the exclusive lock. The commit
-/// observer (registered against `db` when given) applies insert deltas and
-/// epoch-invalidates on rollback-shaped mutations, also exclusively.
+/// observer (registered against `db` when given) hands the aggregate cache
+/// each committed mutation with the row it replaced or removed, also
+/// exclusively: the cache retracts the old row and folds in the new one.
+///
+/// Stats are per verifier; the fast-path, slow-path and interpreted counts
+/// are also summed process-wide as `prever_verify_*` registry counters.
 class CompiledVerifier {
  public:
   struct Stats {

@@ -213,6 +213,11 @@ Result<Checkpoint> ParseCheckpointFile(const std::string& path) {
   const Bytes& serials_blob = records[records.size() - 3];
   BinaryReader sr(serials_blob);
   PREVER_ASSIGN_OR_RETURN(uint64_t n_serials, sr.ReadU64());
+  // Each serial is at least its u32 length prefix: a larger count cannot
+  // be real, so it must not size the reservation.
+  if (n_serials > sr.remaining() / 4) {
+    return Status::Corruption("serial count exceeds remaining bytes");
+  }
   ckpt.spent_serials.reserve(n_serials);
   for (uint64_t i = 0; i < n_serials; ++i) {
     PREVER_ASSIGN_OR_RETURN(Bytes serial, sr.ReadBytes());
@@ -369,7 +374,8 @@ Result<uint64_t> RestoreDatabaseImage(const Bytes& image,
     PREVER_RETURN_IF_ERROR(db->CreateTable(name, schema));
     PREVER_ASSIGN_OR_RETURN(storage::Table * table, db->GetMutableTable(name));
     for (uint64_t i = 0; i < n_rows; ++i) {
-      PREVER_ASSIGN_OR_RETURN(uint32_t n_values, r.ReadU32());
+      // Every encoded value takes at least two bytes.
+      PREVER_ASSIGN_OR_RETURN(uint32_t n_values, r.ReadCount(2));
       storage::Row row;
       row.reserve(n_values);
       for (uint32_t j = 0; j < n_values; ++j) {

@@ -33,7 +33,8 @@ Result<JournalEvent> JournalEvent::Decode(const Bytes& record) {
   JournalEvent event;
   PREVER_ASSIGN_OR_RETURN(event.position, r.ReadU64());
   PREVER_ASSIGN_OR_RETURN(event.batch_id, r.ReadU64());
-  PREVER_ASSIGN_OR_RETURN(uint32_t n, r.ReadU32());
+  // Each entry is at least its u32 length prefix.
+  PREVER_ASSIGN_OR_RETURN(uint32_t n, r.ReadCount(4));
   event.entries.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     PREVER_ASSIGN_OR_RETURN(Bytes e, r.ReadBytes());

@@ -24,7 +24,8 @@ Result<Mutation> Mutation::DecodeFrom(BinaryReader& r) {
   if (m.op == Op::kDelete) {
     PREVER_ASSIGN_OR_RETURN(m.key, Value::DecodeFrom(r));
   } else {
-    PREVER_ASSIGN_OR_RETURN(uint32_t n, r.ReadU32());
+    // Every encoded value takes at least a tag byte and a one-byte payload.
+    PREVER_ASSIGN_OR_RETURN(uint32_t n, r.ReadCount(2));
     m.row.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
       PREVER_ASSIGN_OR_RETURN(Value v, Value::DecodeFrom(r));
@@ -80,17 +81,18 @@ std::vector<std::string> Database::TableNames() const {
   return names;
 }
 
-Status Database::ApplyToTable(const Mutation& mutation) {
+Status Database::ApplyToTable(const Mutation& mutation,
+                              std::optional<Row>* before) {
   PREVER_ASSIGN_OR_RETURN(Table * table, GetMutableTable(mutation.table));
   switch (mutation.op) {
     case Mutation::Op::kInsert:
       return table->Insert(mutation.row);
     case Mutation::Op::kUpdate:
-      return table->Update(mutation.row);
+      return table->Update(mutation.row, before);
     case Mutation::Op::kUpsert:
-      return table->Upsert(mutation.row);
+      return table->Upsert(mutation.row, before);
     case Mutation::Op::kDelete:
-      return table->Delete(mutation.key);
+      return table->Delete(mutation.key, before);
   }
   return Status::Internal("unreachable");
 }
@@ -103,9 +105,10 @@ Status Database::Apply(const Mutation& mutation) {
   if (wal_.is_open()) {
     PREVER_RETURN_IF_ERROR(wal_.Append(mutation.Encode()));
   }
-  PREVER_RETURN_IF_ERROR(ApplyToTable(mutation));
+  std::optional<Row> before;
+  PREVER_RETURN_IF_ERROR(ApplyToTable(mutation, &before));
   ++version_;
-  NotifyCommit(mutation);
+  NotifyCommit(mutation, before);
   return Status::Ok();
 }
 
@@ -124,8 +127,12 @@ void Database::RemoveCommitObserver(uint64_t id) {
   }
 }
 
-void Database::NotifyCommit(const Mutation& mutation) {
-  for (const auto& [id, observer] : observers_) observer(mutation, version_);
+void Database::NotifyCommit(const Mutation& mutation,
+                            const std::optional<Row>& before) {
+  const Row* old = before ? &*before : nullptr;
+  for (const auto& [id, observer] : observers_) {
+    observer(mutation, old, version_);
+  }
 }
 
 Status Database::ReplayLog(const std::string& path, bool* truncated) {
@@ -133,9 +140,10 @@ Status Database::ReplayLog(const std::string& path, bool* truncated) {
                           WriteAheadLog::Recover(path, truncated));
   for (const Bytes& record : records) {
     PREVER_ASSIGN_OR_RETURN(Mutation m, Mutation::Decode(record));
-    PREVER_RETURN_IF_ERROR(ApplyToTable(m));
+    std::optional<Row> before;
+    PREVER_RETURN_IF_ERROR(ApplyToTable(m, &before));
     ++version_;
-    NotifyCommit(m);
+    NotifyCommit(m, before);
   }
   return Status::Ok();
 }

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,10 +56,13 @@ class Database {
   uint64_t version() const { return version_; }
 
   /// Commit observers: invoked after every successfully applied mutation
-  /// (Apply and ReplayLog), with the mutation and the post-commit version.
-  /// Incremental verification caches hang off this hook to fold committed
-  /// deltas into their aggregates. Observers must not mutate the database.
-  using CommitObserver = std::function<void(const Mutation&, uint64_t)>;
+  /// (Apply and ReplayLog), with the mutation, the row it replaced or
+  /// removed, and the post-commit version. `before` is null for an insert
+  /// and for an upsert of a new key. Incremental verification caches hang
+  /// off this hook to retract the old row and fold in the new one.
+  /// Observers must not mutate the database.
+  using CommitObserver =
+      std::function<void(const Mutation&, const Row* before, uint64_t)>;
 
   /// Registers an observer; returns an id for RemoveCommitObserver.
   uint64_t AddCommitObserver(CommitObserver observer);
@@ -69,8 +73,10 @@ class Database {
   Status ReplayLog(const std::string& path, bool* truncated = nullptr);
 
  private:
-  Status ApplyToTable(const Mutation& mutation);
-  void NotifyCommit(const Mutation& mutation);
+  /// Applies to the target table, moving a replaced or removed row into
+  /// `before`.
+  Status ApplyToTable(const Mutation& mutation, std::optional<Row>* before);
+  void NotifyCommit(const Mutation& mutation, const std::optional<Row>& before);
 
   std::map<std::string, Table> tables_;
   WriteAheadLog wal_;

@@ -43,7 +43,8 @@ void Schema::EncodeTo(BinaryWriter& w) const {
 }
 
 Result<Schema> Schema::DecodeFrom(BinaryReader& r) {
-  PREVER_ASSIGN_OR_RETURN(uint32_t n, r.ReadU32());
+  // A column is at least a length-prefixed name and a type byte.
+  PREVER_ASSIGN_OR_RETURN(uint32_t n, r.ReadCount(5));
   std::vector<Column> columns;
   columns.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -14,7 +14,7 @@ Status Table::Insert(const Row& row) {
   return Status::Ok();
 }
 
-Status Table::Update(const Row& row) {
+Status Table::Update(const Row& row, std::optional<Row>* before) {
   PREVER_RETURN_IF_ERROR(schema_.ValidateRow(row));
   PREVER_ASSIGN_OR_RETURN(Value key, schema_.KeyOf(row));
   auto it = rows_.find(key);
@@ -22,24 +22,32 @@ Status Table::Update(const Row& row) {
     return Status::NotFound("key " + key.ToString() + " not in table '" +
                             name_ + "'");
   }
+  if (before != nullptr) before->emplace(std::move(it->second));
   it->second = row;
   ++mod_count_;
   return Status::Ok();
 }
 
-Status Table::Upsert(const Row& row) {
+Status Table::Upsert(const Row& row, std::optional<Row>* before) {
   PREVER_RETURN_IF_ERROR(schema_.ValidateRow(row));
   PREVER_ASSIGN_OR_RETURN(Value key, schema_.KeyOf(row));
-  rows_[std::move(key)] = row;
+  auto [it, inserted] = rows_.try_emplace(std::move(key), row);
+  if (!inserted) {
+    if (before != nullptr) before->emplace(std::move(it->second));
+    it->second = row;
+  }
   ++mod_count_;
   return Status::Ok();
 }
 
-Status Table::Delete(const Value& key) {
-  if (rows_.erase(key) == 0) {
+Status Table::Delete(const Value& key, std::optional<Row>* before) {
+  auto it = rows_.find(key);
+  if (it == rows_.end()) {
     return Status::NotFound("key " + key.ToString() + " not in table '" +
                             name_ + "'");
   }
+  if (before != nullptr) before->emplace(std::move(it->second));
+  rows_.erase(it);
   ++mod_count_;
   return Status::Ok();
 }

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "common/status.h"
@@ -26,14 +27,17 @@ class Table {
   /// Inserts a new row; AlreadyExists if the key is taken.
   Status Insert(const Row& row);
 
-  /// Replaces an existing row (same key); NotFound if absent.
-  Status Update(const Row& row);
+  /// Replaces an existing row (same key); NotFound if absent. When
+  /// `before` is given, the replaced row is moved into it.
+  Status Update(const Row& row, std::optional<Row>* before = nullptr);
 
-  /// Inserts or replaces.
-  Status Upsert(const Row& row);
+  /// Inserts or replaces. When `before` is given, a replaced row is moved
+  /// into it; it stays empty when the key was new.
+  Status Upsert(const Row& row, std::optional<Row>* before = nullptr);
 
-  /// Removes by key; NotFound if absent.
-  Status Delete(const Value& key);
+  /// Removes by key; NotFound if absent. When `before` is given, the
+  /// removed row is moved into it.
+  Status Delete(const Value& key, std::optional<Row>* before = nullptr);
 
   /// Point lookup.
   Result<Row> Get(const Value& key) const;

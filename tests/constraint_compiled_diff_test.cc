@@ -9,14 +9,19 @@
 //   - int64 overflow edges (INT64_MAX-scale literals under wrapping + - *),
 //   - zero divisors (/ and % by a literal 0),
 //   - mixed-type comparisons (string vs numeric → identical error codes),
-//   - incremental maintenance (commits folded through OnCommitted, then
-//     re-compared against a fresh interpreter evaluation).
+//   - incremental maintenance: inserts, and upserts/updates/deletes of
+//     live rows picked from the table's current content (pre-image inside
+//     and outside the row predicate and the window, owner changes, MIN/MAX
+//     ties, deleting the current extremum, draining a group), each folded
+//     through the commit observer and re-compared against a fresh
+//     interpreter evaluation after every step.
 // scripts/check.sh runs this binary explicitly in the ASan+UBSan
 // configuration, so any divergence or UB in either path fails the gate.
 
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -36,6 +41,7 @@ namespace prever::constraint {
 namespace {
 
 using storage::Mutation;
+using storage::Row;
 using storage::Schema;
 using storage::Value;
 using storage::ValueType;
@@ -207,14 +213,158 @@ Comparison CompareOnce(const Expr& expr, const CompiledConstraint& cc,
         << label << " seed " << seed << ": " << text << "\n interpreter: "
         << vi.status().message() << "\n compiled: " << vc.status().message();
   }
+  // The top-level verdict is usually a comparison, which can mask a wrong
+  // aggregate; compare every aggregate's own value too.
+  for (const auto& spec : cc.aggs) {
+    auto ai = Evaluate(*spec->expr, ctx);
+    auto ac = cache.Evaluate(*spec, ctx, &batches);
+    EXPECT_EQ(ai.ok(), ac.ok())
+        << label << " seed " << seed << ": " << spec->expr->ToString();
+    if (ai.ok() && ac.ok()) {
+      EXPECT_TRUE(*ai == *ac) << label << " seed " << seed << ": "
+                              << spec->expr->ToString() << " interpreter "
+                              << ai->ToString() << ", cache " << ac->ToString();
+    } else if (!ai.ok() && !ac.ok()) {
+      EXPECT_EQ(ai.status().code(), ac.status().code())
+          << label << " seed " << seed << ": " << spec->expr->ToString();
+    }
+  }
   return {true};
 }
+
+/// Data-aware mutator for the incremental phase. It picks live rows from
+/// the table's current content (the primary key of an existing row) and
+/// rewrites or removes them so that the pre-image and the new row fall on
+/// either side of every predicate scope the grammar generates: hours
+/// across the `hours > k` cuts (k in 0..40), timestamps on, beside, inside
+/// and outside every window (and in the future), the worker kept or
+/// changed. Hours and timestamps are often copied from another live row, so
+/// MIN/MAX ties and exact (ts, value) duplicates are common.
+class LiveRowMutator {
+ public:
+  LiveRowMutator(prever::Rng& rng, const storage::Database& db)
+      : rng_(rng), db_(db) {}
+
+  Mutation Next(SimTime now, const std::string& fresh_key) {
+    const std::vector<Row> live = LiveRows();
+    Mutation m;
+    m.table = "worklog";
+    const uint64_t kind = live.empty() ? 0 : rng_.NextBelow(8);
+    switch (kind) {
+      case 0:  // Insert of a fresh key.
+      case 1:  // Upsert of a fresh key (no pre-image).
+        m.op = kind == 0 ? Mutation::Op::kInsert : Mutation::Op::kUpsert;
+        m.row = Rewrite(nullptr, live, now, fresh_key);
+        return m;
+      case 2:
+      case 3: {  // Upsert / update of a live row.
+        const Row& old = live[rng_.NextBelow(live.size())];
+        m.op = kind == 2 ? Mutation::Op::kUpsert : Mutation::Op::kUpdate;
+        m.row = Rewrite(&old, live, now, *old[0].AsString());
+        return m;
+      }
+      case 4:  // Delete a random live row.
+        m.op = Mutation::Op::kDelete;
+        m.key = live[rng_.NextBelow(live.size())][0];
+        return m;
+      case 5:  // Delete the current all-time extremum (ties pick the first).
+        m.op = Mutation::Op::kDelete;
+        m.key = Extremum(live, rng_.NextBelow(2) == 0)[0];
+        return m;
+      default:  // Drain the smallest group, down to its last row.
+        m.op = Mutation::Op::kDelete;
+        m.key = FromSmallestGroup(live)[0];
+        return m;
+    }
+  }
+
+ private:
+  std::vector<Row> LiveRows() const {
+    std::vector<Row> rows;
+    (*db_.GetTable("worklog"))->Scan([&](const Row& r) {
+      rows.push_back(r);
+      return true;
+    });
+    return rows;
+  }
+
+  Row Rewrite(const Row* old, const std::vector<Row>& live, SimTime now,
+              const std::string& key) {
+    const Row* other = live.empty() ? nullptr
+                                    : &live[rng_.NextBelow(live.size())];
+    Value worker =
+        old != nullptr && rng_.NextBelow(2) == 0
+            ? (*old)[1]
+            : Value::String("w" + std::to_string(rng_.NextInRange(1, 3)));
+    int64_t hours;
+    switch (rng_.NextBelow(4)) {
+      case 0:  // Tie with another live row.
+        hours = other != nullptr ? *(*other)[2].AsInt64() : 0;
+        break;
+      case 1:  // Either side of a `hours > k` cut.
+        hours = rng_.NextInRange(0, 40) + rng_.NextInRange(-1, 1);
+        break;
+      default:
+        hours = rng_.NextInRange(-15, 55);
+        break;
+    }
+    SimTime at;
+    switch (const uint64_t ts_kind = rng_.NextBelow(5)) {
+      case 0:    // Keep the pre-image's timestamp...
+      case 1: {  // ...or copy another row's (exact (ts, value) duplicates).
+        const Row* src = ts_kind == 0 && old != nullptr ? old : other;
+        at = src != nullptr ? *(*src)[3].AsTimestamp() : now;
+        break;
+      }
+      case 2: {  // On or beside a window edge.
+        SimTime unit = rng_.NextBelow(2) ? kDay : kHour;
+        at = now - static_cast<SimTime>(rng_.NextInRange(1, 9)) * unit +
+             static_cast<SimTime>(rng_.NextInRange(-1, 1));
+        break;
+      }
+      case 3:  // In the future: outside every window until `now` moves.
+        at = now + static_cast<SimTime>(rng_.NextInRange(1, 3)) * kHour;
+        break;
+      default:
+        at = now - static_cast<SimTime>(rng_.NextInRange(0, 48)) * kHour;
+        break;
+    }
+    return {Value::String(key), std::move(worker), Value::Int64(hours),
+            Value::Timestamp(at)};
+  }
+
+  static const Row& Extremum(const std::vector<Row>& live, bool max) {
+    const Row* best = &live[0];
+    for (const Row& r : live) {
+      int64_t h = *r[2].AsInt64();
+      int64_t b = *(*best)[2].AsInt64();
+      if (max ? h > b : h < b) best = &r;
+    }
+    return *best;
+  }
+
+  const Row& FromSmallestGroup(const std::vector<Row>& live) {
+    std::map<std::string, std::vector<const Row*>> groups;
+    for (const Row& r : live) groups[*r[1].AsString()].push_back(&r);
+    const std::vector<const Row*>* smallest = nullptr;
+    for (const auto& [worker, rows] : groups) {
+      if (smallest == nullptr || rows.size() < smallest->size()) {
+        smallest = &rows;
+      }
+    }
+    return *(*smallest)[rng_.NextBelow(smallest->size())];
+  }
+
+  prever::Rng& rng_;
+  const storage::Database& db_;
+};
 
 TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
   constexpr uint64_t kSeeds = 260;
   constexpr SimTime kNow = 10 * kDay;
   uint64_t compiled_cases = 0;
   uint64_t fallback_cases = 0;
+  uint64_t retractions = 0;
 
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     prever::Rng rng(seed * 7919 + 17);
@@ -267,6 +417,10 @@ TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
     CompiledConstraint cc = CompileConstraint(**parsed);
 
     AggregateCache cache;
+    db.AddCommitObserver(
+        [&cache](const Mutation& m, const Row* before, uint64_t) {
+          cache.OnCommitted(m, before);
+        });
     storage::ColumnBatchCache batches;
     EvalContext ctx{&db, &update, kNow};
     Comparison first =
@@ -277,23 +431,17 @@ TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
     }
     ++compiled_cases;
 
-    // Incremental phase: commit random inserts through the cache's delta
-    // path and advance `now`, then demand the cache still matches a fresh
-    // interpreter evaluation (which always rescans).
+    // Incremental phase: commit inserts and live-row upserts, updates and
+    // deletes through the commit observer (the cache retracts each
+    // pre-image and folds each new row) and advance `now`, then demand the
+    // cache still matches a fresh interpreter evaluation (which always
+    // rescans).
+    LiveRowMutator mutator(rng, db);
     SimTime now2 = kNow;
-    for (int step = 0; step < 3; ++step) {
-      Mutation m;
-      m.op = Mutation::Op::kInsert;
-      m.table = "worklog";
-      m.row = {Value::String("c" + std::to_string(step) + "_" +
-                             std::to_string(seed)),
-               Value::String("w" + std::to_string(rng.NextInRange(1, 3))),
-               Value::Int64(rng.NextInRange(-15, 55)),
-               Value::Timestamp(now2 - static_cast<SimTime>(
-                                           rng.NextInRange(0, 48)) *
-                                           kHour)};
-      ASSERT_TRUE(db.Apply(m).ok());
-      cache.OnCommitted(m, db);
+    for (int step = 0; step < 12; ++step) {
+      Mutation m = mutator.Next(
+          now2, "c" + std::to_string(step) + "_" + std::to_string(seed));
+      ASSERT_TRUE(db.Apply(m).ok()) << "seed " << seed << " step " << step;
       switch (rng.NextBelow(4)) {
         case 0:
           now2 += 1;  // One-microsecond window slide.
@@ -311,12 +459,15 @@ TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
       CompareOnce(**parsed, cc, ctx2, cache, batches, seed, text,
                   "incremental");
     }
+    retractions += cache.stats().retractions;
   }
 
   // The sweep is only meaningful if the compiler actually handles the bulk
   // of the generated space; fallbacks should be the FORALL-shaped minority.
   EXPECT_GE(compiled_cases, kSeeds / 2)
       << "compiled " << compiled_cases << ", fallback " << fallback_cases;
+  // ...and only if live-row commits actually reach the retraction path.
+  EXPECT_GE(retractions, compiled_cases) << "retraction path barely exercised";
 }
 
 // ------------------------------------------------------------------
@@ -336,6 +487,9 @@ class CompiledGoldenTest : public ::testing::Test {
     ASSERT_TRUE(InsertRow(db_, "t2", "w1", 20, 2 * kDay + 1).ok()); // first in
     ASSERT_TRUE(InsertRow(db_, "t3", "w1", 30, 7 * kDay).ok());    // == now
     ASSERT_TRUE(InsertRow(db_, "t4", "w2", 40, 3 * kDay).ok());
+    // The production route of a pre-image into the cache.
+    db_.AddCommitObserver([this](const Mutation& m, const Row* before,
+                                 uint64_t) { cache_.OnCommitted(m, before); });
   }
 
   Result<Value> Both(const std::string& text, bool* compiled_out = nullptr) {
@@ -364,13 +518,14 @@ class CompiledGoldenTest : public ::testing::Test {
     return vc;
   }
 
-  /// Re-evaluates the most recent Both() constraint through the SAME
-  /// compiled form — the production shape, where one compiled constraint
-  /// is verified again and again across commits. A fresh Both() would
-  /// compile a new spec and the cache would (correctly) rebuild for it.
-  Result<Value> Recheck() {
-    const Expr& expr = *exprs_.back();
-    CompiledConstraint& cc = ccs_.back();
+  /// Re-evaluates a Both() constraint (the most recent one, or `back`
+  /// constraints before it) through the SAME compiled form — the
+  /// production shape, where one compiled constraint is verified again and
+  /// again across commits. A fresh Both() would compile a new spec and the
+  /// cache would (correctly) rebuild for it.
+  Result<Value> Recheck(size_t back = 0) {
+    const Expr& expr = *exprs_[exprs_.size() - 1 - back];
+    CompiledConstraint& cc = ccs_[ccs_.size() - 1 - back];
     EvalContext ctx{&db_, &update_, now_};
     auto vi = Evaluate(expr, ctx);
     auto vc = EvalCompiled(cc, ctx, cache_, batches_);
@@ -378,7 +533,28 @@ class CompiledGoldenTest : public ::testing::Test {
     if (vi.ok() && vc.ok()) {
       EXPECT_TRUE(*vi == *vc);
     }
+    if (!vi.ok() && !vc.ok()) {
+      EXPECT_EQ(vi.status().code(), vc.status().code());
+    }
     return vc;
+  }
+
+  Status Commit(Mutation::Op op, const std::string& id,
+                const std::string& worker, int64_t hours, SimTime at) {
+    Mutation m;
+    m.op = op;
+    m.table = "worklog";
+    m.row = {Value::String(id), Value::String(worker), Value::Int64(hours),
+             Value::Timestamp(at)};
+    return db_.Apply(m);
+  }
+
+  Status Delete(const std::string& id) {
+    Mutation m;
+    m.op = Mutation::Op::kDelete;
+    m.table = "worklog";
+    m.key = Value::String(id);
+    return db_.Apply(m);
   }
 
   storage::Database db_;
@@ -433,7 +609,6 @@ TEST_F(CompiledGoldenTest, DeltaCommitsKeepCacheExact) {
   m.row = {Value::String("t5"), Value::String("w1"), Value::Int64(7),
            Value::Timestamp(6 * kDay)};
   ASSERT_TRUE(db_.Apply(m).ok());
-  cache_.OnCommitted(m, db_);
   auto v2 = Recheck();
   ASSERT_TRUE(v2.ok());
   EXPECT_TRUE(*v2 == Value::Int64(67));
@@ -442,21 +617,88 @@ TEST_F(CompiledGoldenTest, DeltaCommitsKeepCacheExact) {
   EXPECT_GE(cache_.stats().delta_applies, 1u);
 }
 
-TEST_F(CompiledGoldenTest, NonInsertCommitsInvalidate) {
+TEST_F(CompiledGoldenTest, NonInsertCommitsRetract) {
   const std::string text = "SUM(worklog.hours)";
   auto v1 = Both(text);
   ASSERT_TRUE(v1.ok());
   EXPECT_TRUE(*v1 == Value::Int64(100));
-  Mutation del;
-  del.op = Mutation::Op::kDelete;
-  del.table = "worklog";
-  del.key = Value::String("t4");
-  ASSERT_TRUE(db_.Apply(del).ok());
-  cache_.OnCommitted(del, db_);
+  const uint64_t builds_before = cache_.stats().cache_builds;
+  ASSERT_TRUE(Delete("t4").ok());
   auto v2 = Recheck();
   ASSERT_TRUE(v2.ok());
   EXPECT_TRUE(*v2 == Value::Int64(60));
-  EXPECT_GE(cache_.stats().invalidations, 1u);
+  // Retracted, not rebuilt.
+  EXPECT_EQ(cache_.stats().cache_builds, builds_before);
+  EXPECT_EQ(cache_.stats().retractions, 1u);
+}
+
+TEST_F(CompiledGoldenTest, UpsertMovesRowBetweenGroups) {
+  auto v1 = Both("SUM(worklog.hours WHERE worker = update.worker)");
+  ASSERT_TRUE(v1.ok());
+  EXPECT_TRUE(*v1 == Value::Int64(60));
+  const uint64_t builds_before = cache_.stats().cache_builds;
+  // t4 changes owner w2 -> w1: retract from w2, fold into w1.
+  ASSERT_TRUE(Commit(Mutation::Op::kUpsert, "t4", "w1", 5, 3 * kDay).ok());
+  auto v2 = Recheck();
+  ASSERT_TRUE(v2.ok());
+  EXPECT_TRUE(*v2 == Value::Int64(65));
+  update_["worker"] = Value::String("w2");  // Now an emptied group.
+  auto v3 = Recheck();
+  ASSERT_TRUE(v3.ok());
+  EXPECT_TRUE(*v3 == Value::Int64(0));
+  EXPECT_EQ(cache_.stats().cache_builds, builds_before);
+}
+
+TEST_F(CompiledGoldenTest, DeletingTiedMaximumKeepsTheTie) {
+  auto v1 = Both("MAX(worklog.hours WHERE worker = update.worker)");
+  ASSERT_TRUE(v1.ok());
+  EXPECT_TRUE(*v1 == Value::Int64(30));
+  const uint64_t builds_before = cache_.stats().cache_builds;
+  ASSERT_TRUE(InsertRow(db_, "t5", "w1", 30, 4 * kDay).ok());  // Tie.
+  ASSERT_TRUE(Delete("t3").ok());
+  auto v2 = Recheck();
+  ASSERT_TRUE(v2.ok());
+  EXPECT_TRUE(*v2 == Value::Int64(30));
+  ASSERT_TRUE(Delete("t5").ok());
+  auto v3 = Recheck();
+  ASSERT_TRUE(v3.ok());
+  EXPECT_TRUE(*v3 == Value::Int64(20));
+  EXPECT_EQ(cache_.stats().cache_builds, builds_before);
+}
+
+TEST_F(CompiledGoldenTest, DrainedGroupFollowsEmptySetRules) {
+  update_["worker"] = Value::String("w2");
+  auto min1 = Both("MIN(worklog.hours WHERE worker = update.worker)");
+  ASSERT_TRUE(min1.ok());
+  EXPECT_TRUE(*min1 == Value::Int64(40));
+  auto avg1 = Both("AVG(worklog.hours WHERE worker = update.worker)");
+  ASSERT_TRUE(avg1.ok());
+  EXPECT_TRUE(*avg1 == Value::Int64(40));
+  const uint64_t builds_before = cache_.stats().cache_builds;
+  ASSERT_TRUE(Delete("t4").ok());  // w2's last row.
+  EXPECT_FALSE(Recheck(/*back=*/1).ok());  // MIN over an empty set errors.
+  auto avg2 = Recheck();
+  ASSERT_TRUE(avg2.ok());
+  EXPECT_TRUE(*avg2 == Value::Int64(0));  // AVG over an empty set is 0.
+  EXPECT_EQ(cache_.stats().cache_builds, builds_before);
+}
+
+TEST_F(CompiledGoldenTest, WindowedUpsertsLeaveAndEnterTheWindow) {
+  auto v1 = Both("SUM(worklog.hours WHERE worker = update.worker WINDOW 5d)");
+  ASSERT_TRUE(v1.ok());
+  EXPECT_TRUE(*v1 == Value::Int64(50));  // t2 + t3.
+  const uint64_t builds_before = cache_.stats().cache_builds;
+  // t2 moves before the window; t1 moves from the start edge into it.
+  ASSERT_TRUE(Commit(Mutation::Op::kUpdate, "t2", "w1", 20, 1 * kDay).ok());
+  auto v2 = Recheck();
+  ASSERT_TRUE(v2.ok());
+  EXPECT_TRUE(*v2 == Value::Int64(30));
+  ASSERT_TRUE(Commit(Mutation::Op::kUpsert, "t1", "w1", 11, 6 * kDay).ok());
+  auto v3 = Recheck();
+  ASSERT_TRUE(v3.ok());
+  EXPECT_TRUE(*v3 == Value::Int64(41));
+  EXPECT_EQ(cache_.stats().cache_builds, builds_before);
+  EXPECT_EQ(cache_.stats().retractions, 2u);
 }
 
 }  // namespace

@@ -650,6 +650,53 @@ Status CreateWorklogTable(storage::Database& db) {
   return db.CreateTable("worklog", worklog);
 }
 
+/// Shared retraction probe: rows e1 (10 h) and e2 (20 h) of one worker,
+/// a cached evaluation of `text` warmed at `build`, then e2 deleted through
+/// the database's commit observer — the production route of a pre-image
+/// into the cache. The cached value must move to `after`.
+Detection RetractionDetector(const std::string& text, int64_t build,
+                             int64_t after, const std::string& killed,
+                             const std::string& survived) {
+  storage::Database db;
+  if (!CreateWorklogTable(db).ok()) return Killed("table setup failed");
+  auto add = [&db](const char* id, int64_t hours, SimTime at) {
+    Mutation m;
+    m.op = Mutation::Op::kInsert;
+    m.table = "worklog";
+    m.row = {Value::String(id), Value::String("w1"), Value::Int64(hours),
+             Value::Timestamp(at)};
+    return db.Apply(m);
+  };
+  if (!add("e1", 10, 2 * kDay).ok() || !add("e2", 20, 3 * kDay).ok()) {
+    return Killed("row setup failed");
+  }
+  auto e = constraint::ParseConstraint(text);
+  if (!e.ok()) return Killed("parse failed: " + e.status().message());
+  auto cc = constraint::CompileConstraint(**e);
+  if (!cc.ok || cc.aggs.size() != 1) return Killed(text + " not compiled");
+  constraint::AggregateCache cache;
+  db.AddCommitObserver(
+      [&cache](const Mutation& m, const storage::Row* before, uint64_t) {
+        cache.OnCommitted(m, before);
+      });
+  storage::ColumnBatchCache batches;
+  constraint::UpdateFields u;
+  constraint::EvalContext ctx{&db, &u, 3 * kDay};
+  auto v1 = cache.Evaluate(*cc.aggs[0], ctx, &batches);
+  if (!v1.ok() || !(*v1 == Value::Int64(build))) {
+    return Killed("build value wrong");
+  }
+  Mutation del;
+  del.op = Mutation::Op::kDelete;
+  del.table = "worklog";
+  del.key = Value::String("e2");
+  if (!db.Apply(del).ok()) return Killed("delete failed");
+  auto v2 = cache.Evaluate(*cc.aggs[0], ctx, &batches);
+  if (!v2.ok()) return Killed("post-delete eval errored");
+  if (!(*v2 == Value::Int64(after))) return Killed(killed);
+  return Survived(survived);
+}
+
 // ===================================================================
 // Detector registry.
 // ===================================================================
@@ -827,7 +874,7 @@ std::map<std::string, Detector> BuildDetectors(
     m1.row = {Value::String("e2"), Value::String("w1"), Value::Int64(25),
               Value::Timestamp(1 * kDay + 1)};
     if (!db.Apply(m1).ok()) return Killed("insert failed");
-    cache.OnCommitted(m1, db);
+    cache.OnCommitted(m1, /*before=*/nullptr);
     auto v2 = cache.Evaluate(*cc.aggs[0], ctx, &batches);
     if (!v2.ok()) return Killed("post-commit eval errored");
     if (!(*v2 == Value::Int64(35))) {
@@ -835,42 +882,21 @@ std::map<std::string, Detector> BuildDetectors(
     }
     return Survived("insert deltas still folded into the cached aggregate");
   };
-  d["AGG_CACHE_EPOCH_SKIP"] = [] {
-    storage::Database db;
-    if (!CreateWorklogTable(db).ok()) return Killed("table setup failed");
-    auto add = [&db](const char* id, int64_t hours) {
-      Mutation m;
-      m.op = Mutation::Op::kInsert;
-      m.table = "worklog";
-      m.row = {Value::String(id), Value::String("w1"), Value::Int64(hours),
-               Value::Timestamp(1 * kDay)};
-      return db.Apply(m);
-    };
-    if (!add("e1", 10).ok() || !add("e2", 20).ok()) {
-      return Killed("row setup failed");
-    }
-    auto e = constraint::ParseConstraint("SUM(worklog.hours)");
-    if (!e.ok()) return Killed("parse failed: " + e.status().message());
-    auto cc = constraint::CompileConstraint(**e);
-    if (!cc.ok || cc.aggs.size() != 1) return Killed("sum not compiled");
-    constraint::AggregateCache cache;
-    storage::ColumnBatchCache batches;
-    constraint::UpdateFields u;
-    constraint::EvalContext ctx{&db, &u, 2 * kDay};
-    auto v1 = cache.Evaluate(*cc.aggs[0], ctx, &batches);
-    if (!v1.ok() || !(*v1 == Value::Int64(30))) return Killed("build sum wrong");
-    Mutation del;
-    del.op = Mutation::Op::kDelete;
-    del.table = "worklog";
-    del.key = Value::String("e2");
-    if (!db.Apply(del).ok()) return Killed("delete failed");
-    cache.OnCommitted(del, db);
-    auto v2 = cache.Evaluate(*cc.aggs[0], ctx, &batches);
-    if (!v2.ok()) return Killed("post-delete eval errored");
-    if (!(*v2 == Value::Int64(10))) {
-      return Killed("deleted row still counted by the cached sum");
-    }
-    return Survived("non-insert commits still epoch-invalidate the cache");
+  d["AGG_CACHE_RETRACT_SKIP"] = [] {
+    return RetractionDetector("SUM(worklog.hours)", 30, 10,
+                              "deleted row still counted by the cached sum",
+                              "deletes still retract from the cached sum");
+  };
+  d["AGG_CACHE_RETRACT_WINDOW_SKIP"] = [] {
+    return RetractionDetector(
+        "SUM(worklog.hours WINDOW 3d)", 30, 10,
+        "deleted row's window entry still counted by the cached sum",
+        "deletes still remove the row's window entry");
+  };
+  d["AGG_CACHE_EXTREMUM_STALE"] = [] {
+    return RetractionDetector("MAX(worklog.hours)", 20, 10,
+                              "deleted maximum still reported by the cache",
+                              "deleting the maximum still exposes the next");
   };
   d["AGG_CACHE_GROUP_COLLAPSE"] = [] {
     storage::Database db;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/serial.h"
 #include "common/sim_clock.h"
 #include "ledger/ledger_db.h"
 #include "recovery/checkpoint.h"
@@ -327,6 +328,15 @@ TEST_F(RecoveryTest, JournalAppendRecoverTruncate) {
   auto empty = CommitJournal::Recover(dir_ + "/nonexistent.wal", &truncated);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
+}
+
+TEST_F(RecoveryTest, HostileJournalEntryCountIsCorruption) {
+  BinaryWriter w;
+  w.WriteU64(1);           // position
+  w.WriteU64(2);           // batch id
+  w.WriteU32(0xFFFFFFFF);  // entry count the record cannot hold
+  EXPECT_EQ(JournalEvent::Decode(w.bytes()).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST_F(RecoveryTest, ReplayLedgerSuffixSkipsCoveredAndRejectsGaps) {

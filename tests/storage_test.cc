@@ -3,7 +3,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "storage/database.h"
 
@@ -115,6 +117,13 @@ TEST(SchemaTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->key_column(), 0u);
 }
 
+TEST(SchemaTest, HostileColumnCountIsCorruption) {
+  BinaryWriter w;
+  w.WriteU32(0xFFFFFFFF);  // Column count no 4-byte buffer can hold.
+  BinaryReader r(w.bytes());
+  EXPECT_EQ(Schema::DecodeFrom(r).status().code(), StatusCode::kCorruption);
+}
+
 // ------------------------------------------------------------------ Table
 
 Row MakeWorklogRow(const std::string& id, const std::string& worker,
@@ -157,6 +166,22 @@ TEST(TableTest, UpsertInsertsOrReplaces) {
   EXPECT_TRUE(t.Upsert(MakeWorklogRow("t1", "w1", 12, 100)).ok());
   EXPECT_EQ(t.size(), 1u);
   EXPECT_EQ(*(*t.Get(Value::String("t1")))[2].AsInt64(), 12);
+}
+
+TEST(TableTest, ReplacingOpsHandBackThePreImage) {
+  Table t("worklog", WorklogSchema());
+  std::optional<Row> before;
+  ASSERT_TRUE(t.Upsert(MakeWorklogRow("t1", "w1", 8, 100), &before).ok());
+  EXPECT_FALSE(before.has_value());  // New key: nothing replaced.
+  ASSERT_TRUE(t.Upsert(MakeWorklogRow("t1", "w2", 9, 200), &before).ok());
+  EXPECT_EQ(before, MakeWorklogRow("t1", "w1", 8, 100));
+  before.reset();
+  ASSERT_TRUE(t.Update(MakeWorklogRow("t1", "w3", 10, 300), &before).ok());
+  EXPECT_EQ(before, MakeWorklogRow("t1", "w2", 9, 200));
+  before.reset();
+  ASSERT_TRUE(t.Delete(Value::String("t1"), &before).ok());
+  EXPECT_EQ(before, MakeWorklogRow("t1", "w3", 10, 300));
+  EXPECT_EQ(t.size(), 0u);
 }
 
 TEST(TableTest, InsertValidatesSchema) {
@@ -214,6 +239,18 @@ TEST(MutationTest, DecodeRejectsTrailingGarbage) {
   EXPECT_FALSE(Mutation::Decode(data).ok());
 }
 
+TEST(MutationTest, HostileRowCountIsCorruption) {
+  // [op=insert]["t"][row count 0xFFFFFFFF]: 10 bytes that once sized a
+  // reservation of four billion values.
+  BinaryWriter w;
+  w.WriteU8(0);
+  w.WriteString("t");
+  w.WriteU32(0xFFFFFFFF);
+  ASSERT_EQ(w.bytes().size(), 10u);
+  EXPECT_EQ(Mutation::Decode(w.bytes()).status().code(),
+            StatusCode::kCorruption);
+}
+
 // --------------------------------------------------------------- Database
 
 TEST(DatabaseTest, CreateAndApply) {
@@ -248,6 +285,60 @@ TEST(DatabaseTest, FailedApplyDoesNotBumpVersion) {
   m.row = MakeWorklogRow("t1", "w1", 8, 100);
   EXPECT_FALSE(db.Apply(m).ok());
   EXPECT_EQ(db.version(), 0u);
+}
+
+/// Records what commit observers saw: the op and the pre-image, if any.
+struct ObservedCommit {
+  Mutation::Op op;
+  std::optional<Row> before;
+  uint64_t version;
+};
+
+void RecordCommits(Database& db, std::vector<ObservedCommit>* seen) {
+  db.AddCommitObserver(
+      [seen](const Mutation& m, const Row* before, uint64_t version) {
+        seen->push_back({m.op,
+                         before != nullptr ? std::optional<Row>(*before)
+                                           : std::nullopt,
+                         version});
+      });
+}
+
+std::vector<Mutation> PreImageScript() {
+  std::vector<Mutation> script(5);
+  for (Mutation& m : script) m.table = "worklog";
+  script[0].op = Mutation::Op::kInsert;
+  script[0].row = MakeWorklogRow("t1", "w1", 8, 100);
+  script[1].op = Mutation::Op::kUpsert;  // New key.
+  script[1].row = MakeWorklogRow("t2", "w1", 4, 100);
+  script[2].op = Mutation::Op::kUpsert;  // Replaces t1.
+  script[2].row = MakeWorklogRow("t1", "w2", 9, 200);
+  script[3].op = Mutation::Op::kUpdate;
+  script[3].row = MakeWorklogRow("t1", "w3", 10, 300);
+  script[4].op = Mutation::Op::kDelete;
+  script[4].key = Value::String("t1");
+  return script;
+}
+
+void ExpectPreImages(const std::vector<ObservedCommit>& seen) {
+  ASSERT_EQ(seen.size(), 5u);
+  EXPECT_FALSE(seen[0].before.has_value());
+  EXPECT_FALSE(seen[1].before.has_value());
+  EXPECT_EQ(seen[2].before, MakeWorklogRow("t1", "w1", 8, 100));
+  EXPECT_EQ(seen[3].before, MakeWorklogRow("t1", "w2", 9, 200));
+  EXPECT_EQ(seen[4].before, MakeWorklogRow("t1", "w3", 10, 300));
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].version, i + 1);
+  }
+}
+
+TEST(DatabaseTest, CommitObserversSeeThePreImage) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("worklog", WorklogSchema()).ok());
+  std::vector<ObservedCommit> seen;
+  RecordCommits(db, &seen);
+  for (const Mutation& m : PreImageScript()) ASSERT_TRUE(db.Apply(m).ok());
+  ExpectPreImages(seen);
 }
 
 // -------------------------------------------------------------------- WAL
@@ -464,6 +555,21 @@ TEST_F(WalTest, DatabaseCrashRecovery) {
   EXPECT_EQ(t->size(), 4u);
   EXPECT_FALSE(t->Contains(Value::String("t0")));
   EXPECT_TRUE(t->Contains(Value::String("t4")));
+}
+
+TEST_F(WalTest, ReplayPassesPreImagesToObservers) {
+  {
+    Database db;
+    ASSERT_TRUE(db.CreateTable("worklog", WorklogSchema()).ok());
+    ASSERT_TRUE(db.EnableWal(path_).ok());
+    for (const Mutation& m : PreImageScript()) ASSERT_TRUE(db.Apply(m).ok());
+  }
+  Database recovered;
+  ASSERT_TRUE(recovered.CreateTable("worklog", WorklogSchema()).ok());
+  std::vector<ObservedCommit> seen;
+  RecordCommits(recovered, &seen);
+  ASSERT_TRUE(recovered.ReplayLog(path_).ok());
+  ExpectPreImages(seen);
 }
 
 }  // namespace

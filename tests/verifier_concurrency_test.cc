@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "constraint/eval.h"
 #include "constraint/parser.h"
 #include "constraint/verifier.h"
+#include "obs/registry.h"
 #include "storage/database.h"
 
 namespace prever {
@@ -126,6 +128,65 @@ TEST_F(AggCacheConcurrencyTest, ParallelAdhocAggregatesShareTheCache) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// The verifier's and the cache's Stats are also summed process-wide in the
+// registry, so a rebuild cliff is visible in every metrics dump. Single
+// threaded, so the registry deltas must equal the verifier's own.
+using VerifierMetricsTest = AggCacheConcurrencyTest;
+
+uint64_t RegistryCount(const std::string& name) {
+  return obs::Registry::Default().GetCounter(name)->value();
+}
+
+TEST_F(VerifierMetricsTest, StatsReachTheRegistry) {
+  ASSERT_TRUE(catalog_
+                  .Add("per_worker", constraint::ConstraintScope::kInternal,
+                       constraint::ConstraintVisibility::kPublic,
+                       "FORALL(worklog.worker : SUM(worklog.hours WHERE "
+                       "worker = group) <= 100000)")
+                  .ok());
+  const char* kNames[] = {"prever_verify_agg_builds_total",
+                          "prever_verify_agg_delta_applies_total",
+                          "prever_verify_agg_retractions_total",
+                          "prever_verify_fast_path_total",
+                          "prever_verify_slow_path_total",
+                          "prever_verify_interpreted_constraints_total"};
+  std::vector<uint64_t> before;
+  for (const char* name : kNames) before.push_back(RegistryCount(name));
+
+  constraint::CompiledVerifier verifier(&catalog_, &db_);
+  constraint::UpdateFields update = {{"worker", Value::String("w1")},
+                                     {"hours", Value::Int64(1)}};
+  constraint::EvalContext ctx{&db_, &update, 64 * kHour};
+  ASSERT_TRUE(verifier.VerifyAll(ctx).ok());  // Compile + build: slow path.
+  ASSERT_TRUE(verifier.VerifyAll(ctx).ok());  // Warm: fast path.
+  Mutation upsert;
+  upsert.op = Mutation::Op::kUpsert;
+  upsert.table = "worklog";
+  upsert.row = {Value::String("r1"), Value::String("w2"), Value::Int64(3),
+                Value::Timestamp(63 * kHour)};
+  ASSERT_TRUE(db_.Apply(upsert).ok());
+  Mutation del;
+  del.op = Mutation::Op::kDelete;
+  del.table = "worklog";
+  del.key = Value::String("r5");
+  ASSERT_TRUE(db_.Apply(del).ok());
+  ASSERT_TRUE(verifier.VerifyAll(ctx).ok());
+
+  const auto stats = verifier.stats();
+  const uint64_t expected[] = {stats.agg.cache_builds,
+                               stats.agg.delta_applies,
+                               stats.agg.retractions,
+                               stats.fast_path_verifies,
+                               stats.slow_path_verifies,
+                               stats.interpreted_constraints};
+  EXPECT_EQ(stats.agg.cache_builds, 1u);
+  EXPECT_EQ(stats.agg.retractions, 2u);
+  EXPECT_EQ(stats.interpreted_constraints, 1u);
+  for (size_t i = 0; i < std::size(kNames); ++i) {
+    EXPECT_EQ(RegistryCount(kNames[i]) - before[i], expected[i]) << kNames[i];
+  }
 }
 
 }  // namespace
