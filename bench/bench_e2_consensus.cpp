@@ -234,20 +234,21 @@ BENCHMARK(BM_ShardedPbft)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 // End-to-end crash recovery (src/testing/crash_recovery.h): each iteration
 // commits a payload stream through replicated Raft while seed-chosen
-// replicas are killed at seed-chosen crash points — including mid-WAL-append
-// and mid-checkpoint-write — and restarted through the real recovery path
-// (newest intact checkpoint + commit-journal suffix replay +
-// RaftReplica::Recover). The case surfaces the recovery metrics recorded
-// via src/obs/ as benchmark counters: recovery-time percentiles from the
-// prever_recovery_time_us histogram, checkpoint saves, replayed journal
-// entries, and snapshot state-transfer bytes. scripts/bench_smoke.sh
-// asserts the counters are present and that recoveries actually happened.
+// replicas are killed (RaftOrdering::CrashReplica) at seed-chosen crash
+// points — the harness then damages their files as a kill mid-WAL-append or
+// mid-checkpoint-write would — and restarted through
+// RaftOrdering::RestartReplica (newest intact checkpoint + commit-journal
+// suffix replay + RaftReplica::Recover). The case surfaces the recovery
+// metrics recorded via src/obs/ as benchmark counters: recovery-time
+// percentiles from the prever_recovery_time_us histogram, checkpoint saves,
+// replayed journal entries, and snapshot state-transfer bytes.
+// scripts/bench_smoke.sh asserts the counters are present and that
+// recoveries actually happened.
 void BM_CrashRecovery(benchmark::State& state) {
   simtest::CrashRecoveryOptions options;
   options.num_replicas = static_cast<size_t>(state.range(0));
   options.num_payloads = 48;
-  options.checkpoint_every = 6;
-  options.work_dir =
+  options.recovery.durable_dir =
       (std::filesystem::temp_directory_path() / "prever_bench_crash_recovery")
           .string();
   obs::Registry& reg = obs::Registry::Default();
@@ -265,7 +266,8 @@ void BM_CrashRecovery(benchmark::State& state) {
   uint64_t committed = 0;
   for (auto _ : state) {
     simtest::CrashRecoveryReport report =
-        simtest::RunRaftCrashRecoveryScenario(seed++, options);
+        simtest::RunCrashRecoveryScenario<core::RaftOrdering>(seed++,
+                                                              options);
     if (!report.ok) {
       state.SkipWithError(report.Summary("raft").c_str());
       break;

@@ -1,8 +1,11 @@
 #include "core/ordering.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "common/serial.h"
+#include "mutate/mutation.h"
 
 namespace prever::core {
 
@@ -51,7 +54,7 @@ Status CheckBatch(const std::vector<Bytes>& payloads) {
 }
 
 /// Canonical encodings of the last `n` ledger entries (the ones a commit
-/// event just appended) — handed to commit observers for journaling.
+/// event just appended) — what the durable commit journal records.
 std::vector<Bytes> EncodeLedgerTail(const ledger::LedgerDb& ledger, size_t n) {
   std::vector<Bytes> out;
   out.reserve(n);
@@ -60,6 +63,71 @@ std::vector<Bytes> EncodeLedgerTail(const ledger::LedgerDb& ledger, size_t n) {
     if (entry.ok()) out.push_back(entry->Encode());
   }
   return out;
+}
+
+/// A committed batch envelope as GroupCommitPipeline::Seal writes it:
+/// [u64 batch id][u32 count][payloads].
+struct BatchEnvelope {
+  uint64_t batch_id = 0;
+  std::vector<Bytes> payloads;
+};
+
+/// Committed commands come from clients (a Byzantine one under PBFT), so
+/// the payload count is bounded by the bytes present — every payload
+/// carries at least its u32 length prefix — before anything is reserved.
+Result<BatchEnvelope> DecodeBatchEnvelope(const Bytes& cmd) {
+  BinaryReader r(cmd);
+  BatchEnvelope envelope;
+  PREVER_ASSIGN_OR_RETURN(envelope.batch_id, r.ReadU64());
+  PREVER_ASSIGN_OR_RETURN(
+      uint32_t count, PREVER_MUTATION(ORDERING_ENVELOPE_COUNT_UNBOUNDED,
+                                      r.ReadCount(4), r.ReadU32()));
+  envelope.payloads.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    PREVER_ASSIGN_OR_RETURN(Bytes payload, r.ReadBytes());
+    envelope.payloads.push_back(std::move(payload));
+  }
+  return envelope;
+}
+
+/// The [u64 n][entries...] tail both replica-state blobs end with; each
+/// entry carries at least its u32 length prefix.
+Result<std::vector<Bytes>> ReadLedgerRecords(BinaryReader& r) {
+  PREVER_ASSIGN_OR_RETURN(uint64_t n, r.ReadU64());
+  if (n > r.remaining() / 4) {
+    return Status::Corruption("ledger entry count exceeds remaining bytes");
+  }
+  std::vector<Bytes> records;
+  records.reserve(n);
+  for (uint64_t k = 0; k < n; ++k) {
+    PREVER_ASSIGN_OR_RETURN(Bytes e, r.ReadBytes());
+    records.push_back(std::move(e));
+  }
+  return records;
+}
+
+/// A decoded RaftOrdering::EncodeReplicaState blob.
+struct RaftReplicaImage {
+  uint64_t floor = 0;
+  std::vector<uint64_t> batch_ids;
+  std::vector<Bytes> records;
+};
+
+Result<RaftReplicaImage> DecodeRaftReplicaState(const Bytes& blob) {
+  BinaryReader r(blob);
+  RaftReplicaImage image;
+  PREVER_ASSIGN_OR_RETURN(image.floor, r.ReadU64());
+  PREVER_ASSIGN_OR_RETURN(uint64_t n_ids, r.ReadU64());
+  if (n_ids > r.remaining() / 8) {
+    return Status::Corruption("batch-id count exceeds remaining bytes");
+  }
+  image.batch_ids.reserve(n_ids);
+  for (uint64_t k = 0; k < n_ids; ++k) {
+    PREVER_ASSIGN_OR_RETURN(uint64_t id, r.ReadU64());
+    image.batch_ids.push_back(id);
+  }
+  PREVER_ASSIGN_OR_RETURN(image.records, ReadLedgerRecords(r));
+  return image;
 }
 
 }  // namespace
@@ -244,14 +312,118 @@ Status CentralizedOrdering::Append(const Bytes& payload, SimTime timestamp) {
   return Status::Ok();
 }
 
+// ------------------------------------------------------ ReplicatedOrdering
+
+template <typename ClusterT>
+ReplicatedOrdering<ClusterT>::ReplicatedOrdering(
+    size_t num_replicas, net::SimNetConfig net_config,
+    const OrderingRecoveryConfig& recovery, const char* proto)
+    : net_(std::make_unique<net::SimNetwork>(net_config)),
+      ledgers_(num_replicas),
+      proto_(proto) {
+  if (recovery.durable_dir.empty()) return;
+  // A replica whose directory fails to open journals nothing; the first
+  // failure is reported through recovery_status().
+  for (size_t i = 0; i < num_replicas; ++i) {
+    durable_.push_back(std::make_unique<recovery::DurableReplica>(
+        recovery.durable_dir + "/r" + std::to_string(i),
+        recovery.checkpoint_every));
+    Status s = durable_.back()->Open();
+    if (!s.ok() && recovery_status_.ok()) recovery_status_ = s;
+  }
+}
+
+template <typename ClusterT>
+void ReplicatedOrdering<ClusterT>::AppendCommitted(
+    size_t i, uint64_t position, uint64_t batch_id,
+    const std::vector<Bytes>& payloads) {
+  std::vector<SimTime> stamps(payloads.size());
+  for (size_t j = 0; j < payloads.size(); ++j) {
+    stamps[j] = BatchEntryStamp(position, static_cast<uint32_t>(j));
+  }
+  if (i != 0) {
+    (void)ledgers_[i].AppendBatch(payloads, stamps);
+    return;
+  }
+  // Durability closure: the canonical replica's ledger append, parented to
+  // the envelope's consensus span.
+  obs::Tracer& tracer = obs::Tracer::Get();
+  obs::TraceContext span =
+      tracer.BeginChild(obs::TraceStage::kLedgerAppend,
+                        pipeline_->ContextForBatch(batch_id), position);
+  (void)ledgers_[0].AppendBatch(payloads, stamps);
+  tracer.EndSpan(span, obs::TraceStage::kLedgerAppend, payloads.size());
+  committed_ = ledgers_[0].size();
+  pipeline_->OnProgress(committed_);
+}
+
+template <typename ClusterT>
+bool ReplicatedOrdering<ClusterT>::JournalCommit(size_t i, uint64_t position,
+                                                 uint64_t batch_id, size_t n,
+                                                 Bytes* saved_state) {
+  if (durable_.empty()) return false;
+  return durable_[i]->JournalCommit(
+      {position, batch_id, EncodeLedgerTail(ledgers_[i], n)}, ledgers_[i],
+      [this, i, saved_state] {
+        Bytes blob = DurableAppState(i);
+        if (saved_state != nullptr) *saved_state = blob;
+        return blob;
+      });
+}
+
+template <typename ClusterT>
+void ReplicatedOrdering<ClusterT>::PersistInstalledState(size_t i,
+                                                         uint64_t position) {
+  if (durable_.empty()) return;
+  durable_[i]->PersistInstalledState(ledgers_[i], position,
+                                     [this, i] { return DurableAppState(i); });
+}
+
+template <typename ClusterT>
+void ReplicatedOrdering<ClusterT>::CrashReplica(size_t i) {
+  net_->CrashNode(static_cast<net::NodeId>(i));
+  cluster_->replica(i).Crash();
+  if (!durable_.empty()) durable_[i]->Crash();
+}
+
+template <typename ClusterT>
+Status ReplicatedOrdering<ClusterT>::Append(const Bytes& payload,
+                                            SimTime timestamp) {
+  PREVER_RETURN_IF_ERROR(SubmitAsync(payload, timestamp).status());
+  return Flush();
+}
+
+template <typename ClusterT>
+Status ReplicatedOrdering<ClusterT>::AppendBatch(
+    const std::vector<Bytes>& payloads, SimTime timestamp) {
+  (void)timestamp;  // The consensus position stamps commits.
+  PREVER_RETURN_IF_ERROR(CheckBatch(payloads));
+  pipeline_->EnqueueSealed(payloads);
+  return Flush();
+}
+
+template <typename ClusterT>
+Result<OrderingService::Ticket> ReplicatedOrdering<ClusterT>::SubmitAsync(
+    const Bytes& payload, SimTime timestamp) {
+  (void)timestamp;
+  return pipeline_->Enqueue(payload);
+}
+
+template <typename ClusterT>
+Status ReplicatedOrdering<ClusterT>::Flush() {
+  return DriveFlush(net_.get(), pipeline_.get(), committed_, proto_);
+}
+
+template class ReplicatedOrdering<consensus::PbftCluster>;
+template class ReplicatedOrdering<consensus::RaftCluster>;
+
 // ------------------------------------------------------------ PbftOrdering
 
 PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
                            const std::string& proto_label,
                            OrderingPipelineConfig pipeline,
                            OrderingRecoveryConfig recovery)
-    : net_(std::make_unique<net::SimNetwork>(net_config)),
-      ledgers_(num_replicas),
+    : ReplicatedOrdering(num_replicas, net_config, recovery, "PBFT"),
       applied_seq_(num_replicas, 0) {
   consensus::PbftConfig config;
   config.num_replicas = num_replicas;
@@ -266,7 +438,10 @@ PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
     cluster_->replica(i).SetStateCallbacks(
         [this, i] { return EncodeReplicaState(i); },
         [this, i](uint64_t /*seq*/, const Bytes& app_state) {
-          if (!app_state.empty()) (void)RestoreReplicaState(i, app_state);
+          if (app_state.empty() || !RestoreReplicaState(i, app_state).ok()) {
+            return;
+          }
+          PersistInstalledState(i, applied_seq_[i]);
         });
   }
   pipeline_ = std::make_unique<GroupCommitPipeline>(
@@ -280,44 +455,15 @@ PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
   // digest.
   cluster_->SetCommitCallback(
       [this](net::NodeId replica, uint64_t seq, const Bytes& cmd) {
-        BinaryReader r(cmd);
-        auto batch_id = r.ReadU64();
-        auto count = r.ReadU32();
-        if (!batch_id.ok() || !count.ok()) return;  // Corrupt: skip.
+        auto envelope = DecodeBatchEnvelope(cmd);
+        if (!envelope.ok()) return;  // Corrupt or hostile: skip.
         // Commit events at or below the applied watermark are already in
         // the (checkpoint-restored) ledger; re-appending would duplicate.
         if (seq <= applied_seq_[replica]) return;
         applied_seq_[replica] = seq;
-        std::vector<Bytes> payloads;
-        std::vector<SimTime> stamps;
-        payloads.reserve(*count);
-        stamps.reserve(*count);
-        for (uint32_t i = 0; i < *count; ++i) {
-          auto payload = r.ReadBytes();
-          if (!payload.ok()) return;
-          payloads.push_back(std::move(*payload));
-          stamps.push_back(BatchEntryStamp(seq, i));
-        }
-        if (replica == 0) {
-          // Durability closure: the canonical replica's ledger append,
-          // parented to the envelope's consensus span.
-          obs::Tracer& tracer = obs::Tracer::Get();
-          obs::TraceContext span = tracer.BeginChild(
-              obs::TraceStage::kLedgerAppend,
-              pipeline_->ContextForBatch(*batch_id), seq);
-          (void)ledgers_[replica].AppendBatch(payloads, stamps);
-          tracer.EndSpan(span, obs::TraceStage::kLedgerAppend,
-                         payloads.size());
-          committed_ = ledgers_[0].size();
-          pipeline_->OnProgress(committed_);
-        } else {
-          (void)ledgers_[replica].AppendBatch(payloads, stamps);
-        }
-        if (commit_observer_) {
-          commit_observer_(replica, seq, *batch_id,
-                           EncodeLedgerTail(ledgers_[replica],
-                                            payloads.size()));
-        }
+        AppendCommitted(replica, seq, envelope->batch_id, envelope->payloads);
+        (void)JournalCommit(replica, seq, envelope->batch_id,
+                            envelope->payloads.size());
       });
 }
 
@@ -333,13 +479,7 @@ Bytes PbftOrdering::EncodeReplicaState(size_t i) const {
 Status PbftOrdering::RestoreReplicaState(size_t i, const Bytes& blob) {
   BinaryReader r(blob);
   PREVER_ASSIGN_OR_RETURN(uint64_t applied_seq, r.ReadU64());
-  PREVER_ASSIGN_OR_RETURN(uint64_t n, r.ReadU64());
-  std::vector<Bytes> records;
-  records.reserve(n);
-  for (uint64_t k = 0; k < n; ++k) {
-    PREVER_ASSIGN_OR_RETURN(Bytes e, r.ReadBytes());
-    records.push_back(std::move(e));
-  }
+  PREVER_ASSIGN_OR_RETURN(std::vector<Bytes> records, ReadLedgerRecords(r));
   PREVER_ASSIGN_OR_RETURN(ledger::LedgerDb restored,
                           ledger::LedgerDb::FromRecords(records));
   return RestoreReplica(i, std::move(restored), applied_seq);
@@ -354,27 +494,24 @@ Status PbftOrdering::RestoreReplica(size_t i, ledger::LedgerDb ledger,
   return Status::Ok();
 }
 
-Status PbftOrdering::Append(const Bytes& payload, SimTime timestamp) {
-  PREVER_RETURN_IF_ERROR(SubmitAsync(payload, timestamp).status());
-  return Flush();
+Status PbftOrdering::RestartReplica(size_t i) {
+  if (i >= durable_.size()) {
+    return Status::NotSupported("PBFT replica has no durable state");
+  }
+  PREVER_ASSIGN_OR_RETURN(recovery::RebuiltReplica rebuilt,
+                          durable_[i]->Rebuild());
+  net_->RestartNode(static_cast<net::NodeId>(i));
+  // Protocol restart first (installs the stable blob, broadcasts a
+  // fetch-state request), then overlay the fuller journal-replayed ledger
+  // so commits at or below the durable floor are not re-appended.
+  cluster_->replica(i).Restart(rebuilt.app_state);
+  return RestoreReplica(i, std::move(rebuilt.ledger), rebuilt.floor);
 }
 
-Status PbftOrdering::AppendBatch(const std::vector<Bytes>& payloads,
-                                 SimTime timestamp) {
-  (void)timestamp;  // The consensus sequence stamps commits.
-  PREVER_RETURN_IF_ERROR(CheckBatch(payloads));
-  pipeline_->EnqueueSealed(payloads);
-  return Flush();
-}
-
-Result<OrderingService::Ticket> PbftOrdering::SubmitAsync(const Bytes& payload,
-                                                          SimTime timestamp) {
-  (void)timestamp;
-  return pipeline_->Enqueue(payload);
-}
-
-Status PbftOrdering::Flush() {
-  return DriveFlush(net_.get(), pipeline_.get(), committed_, "PBFT");
+Bytes PbftOrdering::DurableAppState(size_t i) const {
+  // The protocol-level stable checkpoint: on restart it re-anchors the
+  // replica's low watermark; state transfer covers the executions past it.
+  return cluster_->replica(i).stable_checkpoint_blob();
 }
 
 // ----------------------------------------------------- ShardedPbftOrdering
@@ -449,9 +586,9 @@ SimTime ShardedPbftOrdering::MaxShardTime() const {
 // ------------------------------------------------------------ RaftOrdering
 
 RaftOrdering::RaftOrdering(size_t num_replicas, net::SimNetConfig net_config,
-                           OrderingPipelineConfig pipeline)
-    : net_(std::make_unique<net::SimNetwork>(net_config)),
-      ledgers_(num_replicas),
+                           OrderingPipelineConfig pipeline,
+                           OrderingRecoveryConfig recovery)
+    : ReplicatedOrdering(num_replicas, net_config, recovery, "Raft"),
       applied_batches_(num_replicas),
       applied_floor_(num_replicas, 0) {
   consensus::RaftConfig config;
@@ -464,45 +601,25 @@ RaftOrdering::RaftOrdering(size_t num_replicas, net::SimNetConfig net_config,
     cluster_->replica(i).SetApplyCallback(
         [this, i](uint64_t index, const Bytes& cmd) {
           applied_floor_[i] = index;
-          BinaryReader r(cmd);
-          auto batch_id = r.ReadU64();
-          auto count = r.ReadU32();
-          if (!batch_id.ok() || !count.ok()) return;  // Not an envelope: skip.
+          auto envelope = DecodeBatchEnvelope(cmd);
+          if (!envelope.ok()) return;  // Not an envelope: skip.
           // A batch re-submitted after a leader change can land at a second
           // log index; every replica applies the same log, so skipping by
           // batch id keeps the ledgers identical AND duplicate-free.
-          if (!applied_batches_[i].insert(*batch_id).second) return;
-          std::vector<Bytes> payloads;
-          std::vector<SimTime> stamps;
-          payloads.reserve(*count);
-          stamps.reserve(*count);
-          for (uint32_t j = 0; j < *count; ++j) {
-            auto payload = r.ReadBytes();
-            if (!payload.ok()) return;
-            payloads.push_back(std::move(*payload));
-            stamps.push_back(BatchEntryStamp(index, j));
-          }
-          if (i == 0) {
-            obs::Tracer& tracer = obs::Tracer::Get();
-            obs::TraceContext span = tracer.BeginChild(
-                obs::TraceStage::kLedgerAppend,
-                pipeline_->ContextForBatch(*batch_id), index);
-            (void)ledgers_[i].AppendBatch(payloads, stamps);
-            tracer.EndSpan(span, obs::TraceStage::kLedgerAppend,
-                           payloads.size());
-            committed_ = ledgers_[0].size();
-            pipeline_->OnProgress(committed_);
-          } else {
-            (void)ledgers_[i].AppendBatch(payloads, stamps);
-          }
-          if (commit_observer_) {
-            commit_observer_(i, index, *batch_id,
-                             EncodeLedgerTail(ledgers_[i], payloads.size()));
+          if (!applied_batches_[i].insert(envelope->batch_id).second) return;
+          AppendCommitted(i, index, envelope->batch_id, envelope->payloads);
+          // Every durable checkpoint also compacts the log below the
+          // applied floor, with the checkpointed image as its snapshot.
+          Bytes image;
+          if (JournalCommit(i, index, envelope->batch_id,
+                            envelope->payloads.size(), &image)) {
+            (void)cluster_->replica(i).CompactTo(applied_floor_[i], image);
           }
         });
     cluster_->replica(i).SetSnapshotInstaller(
         [this, i](uint64_t /*snap_index*/, const Bytes& blob) {
-          if (!blob.empty()) (void)RestoreReplicaState(i, blob);
+          if (blob.empty() || !RestoreReplicaState(i, blob).ok()) return;
+          PersistInstalledState(i, applied_floor_[i]);
         });
   }
   // Elect an initial leader.
@@ -524,69 +641,54 @@ Bytes RaftOrdering::EncodeReplicaState(size_t i) const {
 }
 
 Status RaftOrdering::RestoreReplicaState(size_t i, const Bytes& blob) {
-  BinaryReader r(blob);
-  PREVER_ASSIGN_OR_RETURN(uint64_t floor, r.ReadU64());
-  PREVER_ASSIGN_OR_RETURN(uint64_t n_ids, r.ReadU64());
-  std::vector<uint64_t> ids;
-  ids.reserve(n_ids);
-  for (uint64_t k = 0; k < n_ids; ++k) {
-    PREVER_ASSIGN_OR_RETURN(uint64_t id, r.ReadU64());
-    ids.push_back(id);
-  }
-  PREVER_ASSIGN_OR_RETURN(uint64_t n, r.ReadU64());
-  std::vector<Bytes> records;
-  records.reserve(n);
-  for (uint64_t k = 0; k < n; ++k) {
-    PREVER_ASSIGN_OR_RETURN(Bytes e, r.ReadBytes());
-    records.push_back(std::move(e));
-  }
+  PREVER_ASSIGN_OR_RETURN(RaftReplicaImage image, DecodeRaftReplicaState(blob));
   PREVER_ASSIGN_OR_RETURN(ledger::LedgerDb restored,
-                          ledger::LedgerDb::FromRecords(records));
+                          ledger::LedgerDb::FromRecords(image.records));
   if (i >= ledgers_.size()) return Status::InvalidArgument("bad replica");
   ledgers_[i] = std::move(restored);
-  applied_batches_[i] = std::set<uint64_t>(ids.begin(), ids.end());
-  applied_floor_[i] = floor;
-  if (i == 0) committed_ = ledgers_[0].size();
-  return Status::Ok();
-}
-
-Status RaftOrdering::RestoreReplica(size_t i, ledger::LedgerDb ledger,
-                                    uint64_t applied_floor,
-                                    const std::vector<uint64_t>& batch_ids) {
-  if (i >= ledgers_.size()) return Status::InvalidArgument("bad replica");
-  ledgers_[i] = std::move(ledger);
   applied_batches_[i] =
-      std::set<uint64_t>(batch_ids.begin(), batch_ids.end());
-  applied_floor_[i] = applied_floor;
+      std::set<uint64_t>(image.batch_ids.begin(), image.batch_ids.end());
+  applied_floor_[i] = image.floor;
   if (i == 0) committed_ = ledgers_[0].size();
-  // Re-drive the state machine through the real recovery path: the replica
-  // rewinds last_applied to the restored floor and re-delivers the committed
-  // suffix (batch-id dedup absorbs anything already in the ledger).
-  cluster_->replica(i).Recover(applied_floor);
   return Status::Ok();
 }
 
-Status RaftOrdering::Append(const Bytes& payload, SimTime timestamp) {
-  PREVER_RETURN_IF_ERROR(SubmitAsync(payload, timestamp).status());
-  return Flush();
-}
-
-Status RaftOrdering::AppendBatch(const std::vector<Bytes>& payloads,
-                                 SimTime timestamp) {
-  (void)timestamp;
-  PREVER_RETURN_IF_ERROR(CheckBatch(payloads));
-  pipeline_->EnqueueSealed(payloads);
-  return Flush();
-}
-
-Result<OrderingService::Ticket> RaftOrdering::SubmitAsync(const Bytes& payload,
-                                                          SimTime timestamp) {
-  (void)timestamp;
-  return pipeline_->Enqueue(payload);
-}
-
-Status RaftOrdering::Flush() {
-  return DriveFlush(net_.get(), pipeline_.get(), committed_, "Raft");
+Status RaftOrdering::RestartReplica(size_t i) {
+  if (i >= durable_.size()) {
+    return Status::NotSupported("Raft replica has no durable state");
+  }
+  PREVER_ASSIGN_OR_RETURN(recovery::RebuiltReplica rebuilt,
+                          durable_[i]->Rebuild());
+  // The dedup set: batches the checkpoint image had applied plus the
+  // replayed journal events.
+  std::set<uint64_t> batch_ids(rebuilt.batch_ids.begin(),
+                               rebuilt.batch_ids.end());
+  if (!rebuilt.app_state.empty()) {
+    PREVER_ASSIGN_OR_RETURN(RaftReplicaImage image,
+                            DecodeRaftReplicaState(rebuilt.app_state));
+    batch_ids.insert(image.batch_ids.begin(), image.batch_ids.end());
+  }
+  net_->RestartNode(static_cast<net::NodeId>(i));
+  consensus::RaftReplica& replica = cluster_->replica(i);
+  if (replica.snapshot_index() > rebuilt.floor &&
+      !replica.snapshot_blob().empty()) {
+    // The durable log was compacted past the journal's coverage: entries
+    // below the snapshot are gone, so a rewind to the durable floor could
+    // never re-deliver them. Install the snapshot the log carries, then
+    // persist it so the on-disk chain is anchored again.
+    PREVER_RETURN_IF_ERROR(RestoreReplicaState(i, replica.snapshot_blob()));
+    replica.Recover(applied_floor_[i]);
+    PersistInstalledState(i, applied_floor_[i]);
+    return Status::Ok();
+  }
+  ledgers_[i] = std::move(rebuilt.ledger);
+  applied_batches_[i] = std::move(batch_ids);
+  applied_floor_[i] = rebuilt.floor;
+  if (i == 0) committed_ = ledgers_[0].size();
+  // Rewind to the durable floor and re-deliver the committed suffix
+  // (batch-id dedup absorbs anything the ledger already holds).
+  replica.Recover(rebuilt.floor);
+  return Status::Ok();
 }
 
 }  // namespace prever::core

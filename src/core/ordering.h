@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/bytes.h"
@@ -16,6 +17,7 @@
 #include "net/sim_net.h"
 #include "obs/registry.h"
 #include "obs/tracing.h"
+#include "recovery/durable_replica.h"
 
 namespace prever::core {
 
@@ -41,10 +43,17 @@ struct OrderingPipelineConfig {
 /// "Crash recovery & state transfer").
 struct OrderingRecoveryConfig {
   /// PBFT stable-checkpoint interval (executions between checkpoints);
-  /// 0 disables checkpointing and message-log GC.
+  /// 0 disables checkpointing and message-log GC. Raft ignores it.
   uint64_t checkpoint_interval = 0;
-  /// PBFT fetch-state path for restarted/lagging replicas.
+  /// PBFT fetch-state path for restarted/lagging replicas. Raft ignores it.
   bool enable_state_transfer = false;
+  /// Root of the replicas' durable state: replica i journals every commit
+  /// and checkpoints under `<durable_dir>/r<i>/`, and CrashReplica /
+  /// RestartReplica kill and rebuild it. Empty keeps the replicas volatile.
+  std::string durable_dir;
+  /// Commit events per replica between durable checkpoints; each one also
+  /// compacts the Raft log below the replica's applied floor.
+  uint64_t checkpoint_every = 6;
 };
 
 /// Ledger timestamps for batch envelopes encode (consensus position,
@@ -191,28 +200,14 @@ class CentralizedOrdering : public OrderingService {
   ledger::LedgerDb ledger_;
 };
 
-/// PBFT-replicated ordering: each replica maintains its own ledger; Append
-/// submits to the cluster and drains the simulated network until a quorum
-/// has executed the command. Payloads travel in batch envelopes, so one
-/// consensus instance can carry many updates (the StreamChain/FastFabric
-/// batching lever §4 alludes to for Fabric's overhead), and SubmitAsync
-/// keeps up to `max_inflight` instances running the three phases at once.
-class PbftOrdering : public OrderingService {
+/// What the consensus-replicated orderings share: the simulated network and
+/// protocol cluster, one ledger per replica (replica 0's is the committed
+/// order), the group-commit pipeline, and — when the recovery config names
+/// a durable directory — one recovery::DurableReplica per replica under
+/// `<durable_dir>/r<i>/`.
+template <typename ClusterT>
+class ReplicatedOrdering : public OrderingService {
  public:
-  /// Called after a commit event appends to one replica's ledger, with the
-  /// consensus position, the batch id, and the canonical encodings of the
-  /// entries just appended — everything a durable commit journal needs.
-  using CommitObserver =
-      std::function<void(size_t replica, uint64_t position, uint64_t batch_id,
-                         const std::vector<Bytes>& entries)>;
-
-  /// `proto_label` tags this cluster's pipeline histograms in the default
-  /// registry (sharded deployments use "pbft-sharded").
-  PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
-               const std::string& proto_label = "pbft",
-               OrderingPipelineConfig pipeline = OrderingPipelineConfig(),
-               OrderingRecoveryConfig recovery = OrderingRecoveryConfig());
-
   Status Append(const Bytes& payload, SimTime timestamp) override;
   /// Orders a whole batch through ONE consensus instance; the replica
   /// ledgers still record one entry per payload.
@@ -226,13 +221,73 @@ class PbftOrdering : public OrderingService {
 
   net::SimNetwork& network() { return *net_; }
   const net::SimNetwork& network() const { return *net_; }
-  consensus::PbftCluster& cluster() { return *cluster_; }
+  ClusterT& cluster() { return *cluster_; }
   const ledger::LedgerDb& ReplicaLedger(size_t i) const { return ledgers_[i]; }
   size_t num_replicas() const { return ledgers_.size(); }
 
-  void SetReplicaCommitObserver(CommitObserver observer) {
-    commit_observer_ = std::move(observer);
+  /// Kills replica i: its node leaves the network, its protocol state
+  /// stops, and its durable state (if any) stops being written.
+  void CrashReplica(size_t i);
+  /// Replica i's durable state; null when the replicas are volatile.
+  recovery::DurableReplica* durable(size_t i) {
+    return durable_.empty() ? nullptr : durable_[i].get();
   }
+  /// Ok unless opening a durable directory failed at construction.
+  const Status& recovery_status() const { return recovery_status_; }
+
+ protected:
+  /// `proto` names the protocol in Flush errors.
+  ReplicatedOrdering(size_t num_replicas, net::SimNetConfig net_config,
+                     const OrderingRecoveryConfig& recovery,
+                     const char* proto);
+
+  /// Appends a committed envelope's payloads to replica i's ledger, stamped
+  /// at consensus `position`; replica 0's append is traced under the
+  /// batch's consensus span and advances the commit counter.
+  void AppendCommitted(size_t i, uint64_t position, uint64_t batch_id,
+                       const std::vector<Bytes>& payloads);
+  /// Journals the `n` entries replica i just appended at `position`; no-op
+  /// when volatile. True when that also saved a checkpoint, whose
+  /// DurableAppState blob is then moved into `*saved_state` (if given).
+  bool JournalCommit(size_t i, uint64_t position, uint64_t batch_id,
+                     size_t n, Bytes* saved_state = nullptr);
+  /// Saves state a consensus-level install (Raft snapshot, PBFT state
+  /// transfer) just gave replica i as a durable checkpoint at `position`;
+  /// no-op when volatile.
+  void PersistInstalledState(size_t i, uint64_t position);
+
+  std::unique_ptr<net::SimNetwork> net_;
+  std::unique_ptr<ClusterT> cluster_;
+  std::vector<ledger::LedgerDb> ledgers_;
+  uint64_t committed_ = 0;
+  std::vector<std::unique_ptr<recovery::DurableReplica>> durable_;
+  Status recovery_status_;
+  std::unique_ptr<GroupCommitPipeline> pipeline_;
+
+ private:
+  /// The protocol blob a durable checkpoint of replica i carries.
+  virtual Bytes DurableAppState(size_t i) const = 0;
+
+  const char* proto_;
+};
+
+extern template class ReplicatedOrdering<consensus::PbftCluster>;
+extern template class ReplicatedOrdering<consensus::RaftCluster>;
+
+/// PBFT-replicated ordering: each replica maintains its own ledger; Append
+/// submits to the cluster and drains the simulated network until a quorum
+/// has executed the command. Payloads travel in batch envelopes, so one
+/// consensus instance can carry many updates (the StreamChain/FastFabric
+/// batching lever §4 alludes to for Fabric's overhead), and SubmitAsync
+/// keeps up to `max_inflight` instances running the three phases at once.
+class PbftOrdering : public ReplicatedOrdering<consensus::PbftCluster> {
+ public:
+  /// `proto_label` tags this cluster's pipeline histograms in the default
+  /// registry (sharded deployments use "pbft-sharded").
+  PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
+               const std::string& proto_label = "pbft",
+               OrderingPipelineConfig pipeline = OrderingPipelineConfig(),
+               OrderingRecoveryConfig recovery = OrderingRecoveryConfig());
 
   /// Application state for checkpoints/state transfer: the replica's ledger
   /// plus its applied watermark ([u64 applied_seq][u64 n][entries...]);
@@ -240,23 +295,20 @@ class PbftOrdering : public OrderingService {
   Bytes EncodeReplicaState(size_t i) const;
   /// Installs an EncodeReplicaState blob (PBFT state-transfer landing).
   Status RestoreReplicaState(size_t i, const Bytes& blob);
-  /// Crash-recovery restore from durable state: replaces replica i's ledger
-  /// and watermark (the caller then drives
-  /// cluster().replica(i).Restart(...)).
-  Status RestoreReplica(size_t i, ledger::LedgerDb ledger,
-                        uint64_t applied_seq);
-  uint64_t replica_applied_seq(size_t i) const { return applied_seq_[i]; }
+
+  /// Restarts replica i from its durable state (checkpoint + journal
+  /// replay); the protocol restarts from the checkpoint's stable blob and
+  /// fetches peer state past it. NotSupported without a durable directory.
+  Status RestartReplica(size_t i);
 
  private:
-  std::unique_ptr<net::SimNetwork> net_;
-  std::unique_ptr<consensus::PbftCluster> cluster_;
-  std::vector<ledger::LedgerDb> ledgers_;
-  uint64_t committed_ = 0;
+  Bytes DurableAppState(size_t i) const override;
+  Status RestoreReplica(size_t i, ledger::LedgerDb ledger,
+                        uint64_t applied_seq);
+
   /// Commit events at or below this watermark are already reflected in the
   /// replica's (restored) ledger and must not re-append.
   std::vector<uint64_t> applied_seq_;
-  CommitObserver commit_observer_;
-  std::unique_ptr<GroupCommitPipeline> pipeline_;
 };
 
 /// SharPer/Qanaat-style sharded ordering (§4 RC4: "Qanaat further provides
@@ -307,64 +359,36 @@ class ShardedPbftOrdering : public OrderingService {
 };
 
 /// Raft-replicated ordering (crash-fault baseline).
-class RaftOrdering : public OrderingService {
+class RaftOrdering : public ReplicatedOrdering<consensus::RaftCluster> {
  public:
-  /// Same contract as PbftOrdering::CommitObserver: (replica, log index,
-  /// batch id, encoded ledger entries appended by this apply).
-  using CommitObserver =
-      std::function<void(size_t replica, uint64_t position, uint64_t batch_id,
-                         const std::vector<Bytes>& entries)>;
-
   RaftOrdering(size_t num_replicas, net::SimNetConfig net_config,
-               OrderingPipelineConfig pipeline = OrderingPipelineConfig());
-
-  Status Append(const Bytes& payload, SimTime timestamp) override;
-  /// One consensus instance (log entry) for the whole batch.
-  Status AppendBatch(const std::vector<Bytes>& payloads, SimTime timestamp);
-
-  Result<Ticket> SubmitAsync(const Bytes& payload, SimTime timestamp) override;
-  Status Flush() override;
-
-  const ledger::LedgerDb& Ledger() const override { return ledgers_[0]; }
-  uint64_t CommittedCount() const override { return committed_; }
-
-  net::SimNetwork& network() { return *net_; }
-  const net::SimNetwork& network() const { return *net_; }
-  consensus::RaftCluster& cluster() { return *cluster_; }
-  const ledger::LedgerDb& ReplicaLedger(size_t i) const { return ledgers_[i]; }
-  size_t num_replicas() const { return ledgers_.size(); }
-
-  void SetReplicaCommitObserver(CommitObserver observer) {
-    commit_observer_ = std::move(observer);
-  }
+               OrderingPipelineConfig pipeline = OrderingPipelineConfig(),
+               OrderingRecoveryConfig recovery = OrderingRecoveryConfig());
 
   /// Self-contained replica state for Raft snapshots ([u64 applied floor]
   /// [u64 n_ids][ids...][u64 n][entries...]): handed to CompactTo as the
   /// snapshot blob and installed on followers via InstallSnapshot.
   Bytes EncodeReplicaState(size_t i) const;
-  /// Installs an EncodeReplicaState blob (InstallSnapshot landing; also the
-  /// crash-recovery restore primitive for full-image restores).
+  /// Installs an EncodeReplicaState blob (InstallSnapshot landing).
   Status RestoreReplicaState(size_t i, const Bytes& blob);
-  /// Crash-recovery restore from checkpoint + journal: replaces replica i's
-  /// ledger, applied floor, and batch-id dedup set, then rejoins the replica
-  /// through RaftReplica::Recover (re-applying the committed suffix).
-  Status RestoreReplica(size_t i, ledger::LedgerDb ledger,
-                        uint64_t applied_floor,
-                        const std::vector<uint64_t>& batch_ids);
   uint64_t replica_applied_floor(size_t i) const { return applied_floor_[i]; }
 
+  /// Restarts replica i from its durable state (checkpoint + journal
+  /// replay), then the log re-delivers the committed suffix; when the log
+  /// was compacted past the durable state, its own snapshot is installed
+  /// instead. NotSupported without a durable directory.
+  Status RestartReplica(size_t i);
+
  private:
-  std::unique_ptr<net::SimNetwork> net_;
-  std::unique_ptr<consensus::RaftCluster> cluster_;
-  std::vector<ledger::LedgerDb> ledgers_;
-  uint64_t committed_ = 0;
+  Bytes DurableAppState(size_t i) const override {
+    return EncodeReplicaState(i);
+  }
+
   /// Batch ids applied per replica: Raft has no digest-level dedup, so the
   /// apply callback must make Flush's re-submissions idempotent itself.
   std::vector<std::set<uint64_t>> applied_batches_;
   /// Highest log index each replica has had delivered (ledger-reflected).
   std::vector<uint64_t> applied_floor_;
-  CommitObserver commit_observer_;
-  std::unique_ptr<GroupCommitPipeline> pipeline_;
 };
 
 }  // namespace prever::core

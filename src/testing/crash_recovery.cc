@@ -1,10 +1,8 @@
 #include "testing/crash_recovery.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -12,40 +10,16 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/serial.h"
 #include "core/ordering.h"
-#include "obs/registry.h"
 #include "recovery/checkpoint.h"
-#include "recovery/journal.h"
+#include "recovery/durable_replica.h"
+#include "testing/invariants.h"
 
 namespace prever::simtest {
 
 namespace {
 
 namespace fs = std::filesystem;
-
-obs::Histogram& RecoveryTimeHistogram() {
-  static obs::Histogram* h =
-      obs::Registry::Default().GetHistogram("prever_recovery_time_us");
-  return *h;
-}
-
-/// Per-replica durable state: a checkpoint store and a commit journal, both
-/// living under the scenario's work directory. This is the state a real
-/// deployment would have on disk when the process is killed.
-struct DurableReplica {
-  std::unique_ptr<recovery::CheckpointStore> store;
-  std::unique_ptr<recovery::CommitJournal> journal;
-  std::string journal_path;
-  uint64_t events_since_ckpt = 0;
-  /// consensus_seq of the newest and second-newest durable checkpoints. The
-  /// journal is only truncated below the *previous* checkpoint, so a corrupt
-  /// newest checkpoint still recovers from the previous one plus a longer
-  /// replay.
-  uint64_t last_ckpt_seq = 0;
-  uint64_t prev_ckpt_seq = 0;
-  bool crashed = false;
-};
 
 /// One scheduled kill: after committing payload `at`, replica `victim` dies
 /// at `point`; it restarts once `recover_at` payloads have been submitted.
@@ -56,23 +30,8 @@ struct CrashEvent {
   CrashPoint point = CrashPoint::kClean;
 };
 
-Status InitDurable(const CrashRecoveryOptions& options,
-                   std::vector<DurableReplica>* durable) {
-  durable->resize(options.num_replicas);
-  for (size_t i = 0; i < options.num_replicas; ++i) {
-    std::string dir = options.work_dir + "/r" + std::to_string(i);
-    DurableReplica& d = (*durable)[i];
-    d.store = std::make_unique<recovery::CheckpointStore>(dir + "/ckpt");
-    PREVER_RETURN_IF_ERROR(d.store->Init());
-    d.journal_path = dir + "/journal.wal";
-    d.journal = std::make_unique<recovery::CommitJournal>();
-    PREVER_RETURN_IF_ERROR(d.journal->Open(d.journal_path));
-  }
-  return Status::Ok();
-}
-
 /// Mutilates the victim's durable files exactly as a kill at `point` would.
-void ApplyCrashDamage(DurableReplica& d, CrashPoint point, Rng& rng,
+void ApplyCrashDamage(recovery::DurableReplica& d, CrashPoint point, Rng& rng,
                       std::string* trace) {
   std::error_code ec;
   switch (point) {
@@ -82,10 +41,10 @@ void ApplyCrashDamage(DurableReplica& d, CrashPoint point, Rng& rng,
       // A torn final journal record: the kill landed mid-fwrite. Recovery
       // must keep the clean prefix and the consensus layer re-delivers the
       // lost tail.
-      auto size = fs::file_size(d.journal_path, ec);
+      auto size = fs::file_size(d.journal_path(), ec);
       if (!ec && size > 0) {
         uint64_t cut = 1 + rng.NextBelow(std::min<uint64_t>(8, size));
-        fs::resize_file(d.journal_path, size - cut, ec);
+        fs::resize_file(d.journal_path(), size - cut, ec);
         if (trace) {
           *trace += "  torn journal tail: -" + std::to_string(cut) + "B\n";
         }
@@ -95,7 +54,7 @@ void ApplyCrashDamage(DurableReplica& d, CrashPoint point, Rng& rng,
     case CrashPoint::kMidCheckpointTmp: {
       // A kill mid-checkpoint-write leaves a partial .tmp the loader must
       // never consider.
-      std::string tmp = d.store->dir() + "/ckpt-ffffffffffffffff.ckpt.tmp";
+      std::string tmp = d.store().dir() + "/ckpt-ffffffffffffffff.ckpt.tmp";
       if (FILE* f = std::fopen(tmp.c_str(), "wb")) {
         Bytes garbage = rng.NextBytes(64 + rng.NextBelow(192));
         std::fwrite(garbage.data(), 1, garbage.size(), f);
@@ -107,9 +66,9 @@ void ApplyCrashDamage(DurableReplica& d, CrashPoint point, Rng& rng,
     case CrashPoint::kMidCheckpointFinal: {
       // Bit-rot / partial rename on the newest final checkpoint: CRC must
       // catch it, the loader must quarantine and fall back.
-      std::vector<std::string> files = d.store->ListFiles();
+      std::vector<std::string> files = d.store().ListFiles();
       if (!files.empty()) {
-        std::string path = d.store->dir() + "/" + files.back();
+        std::string path = d.store().dir() + "/" + files.back();
         auto size = fs::file_size(path, ec);
         if (!ec && size > 0) {
           uint64_t offset = rng.NextBelow(size);
@@ -128,115 +87,6 @@ void ApplyCrashDamage(DurableReplica& d, CrashPoint point, Rng& rng,
       }
       break;
     }
-  }
-}
-
-/// Durable state rebuilt at restart, before the consensus layer is involved.
-struct RebuiltState {
-  ledger::LedgerDb ledger;
-  uint64_t floor = 0;  ///< Highest consensus position the ledger covers.
-  uint64_t checkpoint_seq = 0;  ///< Floor covered by the checkpoint alone.
-  uint64_t replayed = 0;        ///< Journal entries appended past it.
-  Bytes app_state;              ///< Checkpoint's opaque consensus blob.
-  std::vector<uint64_t> batch_ids;  ///< From checkpoint app blob + journal.
-  /// Journal events actually replayed; the journal is rewritten to exactly
-  /// these at restart (dropping torn tails, pre-checkpoint events, and any
-  /// post-gap events consensus will re-deliver anyway).
-  std::vector<recovery::JournalEvent> kept;
-};
-
-/// The real recovery read path: newest intact checkpoint (corrupt ones
-/// quarantined inside LoadLatest) + commit-journal suffix replay. Records
-/// wall-clock recovery time into prever_recovery_time_us.
-Result<RebuiltState> RebuildFromDurable(DurableReplica& d,
-                                        bool decode_raft_batch_ids) {
-  auto t0 = std::chrono::steady_clock::now();
-  RebuiltState out;
-  auto ckpt = d.store->LoadLatest();
-  if (ckpt.ok()) {
-    out.ledger = std::move(ckpt->ledger);
-    out.floor = ckpt->manifest.consensus_seq;
-    out.checkpoint_seq = ckpt->manifest.consensus_seq;
-    out.app_state = std::move(ckpt->app_state);
-    if (decode_raft_batch_ids && !out.app_state.empty()) {
-      // Raft app blobs are EncodeReplicaState: [floor][n_ids][ids...][...].
-      BinaryReader r(out.app_state);
-      PREVER_ASSIGN_OR_RETURN(uint64_t floor, r.ReadU64());
-      PREVER_ASSIGN_OR_RETURN(uint64_t n_ids, r.ReadU64());
-      (void)floor;
-      out.batch_ids.reserve(n_ids);
-      for (uint64_t k = 0; k < n_ids; ++k) {
-        PREVER_ASSIGN_OR_RETURN(uint64_t id, r.ReadU64());
-        out.batch_ids.push_back(id);
-      }
-    }
-  } else if (ckpt.status().code() != StatusCode::kNotFound) {
-    return ckpt.status();
-  }
-  bool torn = false;
-  PREVER_ASSIGN_OR_RETURN(std::vector<recovery::JournalEvent> events,
-                          recovery::CommitJournal::Recover(d.journal_path,
-                                                           &torn));
-  for (const recovery::JournalEvent& event : events) {
-    if (event.position <= out.checkpoint_seq) continue;
-    auto appended = recovery::ReplayLedgerSuffix(event.entries, &out.ledger);
-    if (!appended.ok()) {
-      // A replay gap here means the bridge between journal epochs — a
-      // checkpoint persisted when consensus-level state transfer replaced
-      // the ledger wholesale — was itself lost to corruption. The journal
-      // cannot cover entries this replica never committed locally; recover
-      // from the longest contiguous durable prefix and let consensus
-      // (snapshot install / state transfer) re-deliver the rest.
-      break;
-    }
-    out.replayed += *appended;
-    out.batch_ids.push_back(event.batch_id);
-    out.floor = std::max(out.floor, event.position);
-    out.kept.push_back(event);
-  }
-  auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - t0);
-  RecoveryTimeHistogram().Record(static_cast<uint64_t>(elapsed.count()));
-  return out;
-}
-
-/// Rewrites the journal at restart to exactly the events recovery consumed:
-/// torn tails, events below the surviving checkpoint, and events past a
-/// replay gap (which consensus re-delivers) are all dropped.
-Status ResetJournal(DurableReplica& d,
-                    const std::vector<recovery::JournalEvent>& kept) {
-  d.journal->Close();
-  std::remove(d.journal_path.c_str());
-  PREVER_RETURN_IF_ERROR(d.journal->Open(d.journal_path));
-  for (const recovery::JournalEvent& event : kept) {
-    PREVER_RETURN_IF_ERROR(d.journal->Append(event));
-  }
-  return Status::Ok();
-}
-
-/// A consensus-level state install (Raft InstallSnapshot, PBFT checkpoint
-/// install) replaces the replica's ledger wholesale, bypassing the commit
-/// journal — the journal would have a hole between its last event and the
-/// installed state. Persist the installed state as a durable checkpoint so
-/// the on-disk chain stays contiguous; the journal keeps only what the new
-/// checkpoint does not cover.
-template <typename OrderingT>
-void PersistInstalledState(OrderingT& ordering, size_t replica, uint64_t floor,
-                           Bytes app_state, DurableReplica& d,
-                           CrashRecoveryReport* report) {
-  if (d.crashed || !d.journal->is_open()) return;
-  if (floor <= d.last_ckpt_seq) return;  // Existing chain already covers.
-  recovery::CheckpointContents contents;
-  contents.ledger = &ordering.ReplicaLedger(replica);
-  contents.consensus_seq = floor;
-  contents.app_state = std::move(app_state);
-  if (d.store->Save(contents).ok()) {
-    ++report->checkpoints_saved;
-    d.prev_ckpt_seq = d.last_ckpt_seq;
-    d.last_ckpt_seq = floor;
-    d.events_since_ckpt = 0;
-    d.store->GarbageCollect(2);
-    (void)d.journal->TruncateBelow(d.prev_ckpt_seq);
   }
 }
 
@@ -269,65 +119,16 @@ std::vector<CrashEvent> PlanCrashes(uint64_t seed,
   return plan;
 }
 
-/// Digest-identical common prefix across all replica ledgers.
-template <typename OrderingT>
-Status CheckLedgerPrefixes(const OrderingT& ordering, size_t num_replicas) {
-  for (size_t i = 1; i < num_replicas; ++i) {
-    const ledger::LedgerDb& a = ordering.ReplicaLedger(0);
-    const ledger::LedgerDb& b = ordering.ReplicaLedger(i);
-    uint64_t common = std::min(a.size(), b.size());
-    for (uint64_t s = 0; s < common; ++s) {
-      auto ea = a.GetEntry(s);
-      auto eb = b.GetEntry(s);
-      PREVER_RETURN_IF_ERROR(ea.status());
-      PREVER_RETURN_IF_ERROR(eb.status());
-      if (ea->payload != eb->payload || ea->timestamp != eb->timestamp) {
-        return Status::IntegrityViolation(
-            "replica " + std::to_string(i) + " diverges from replica 0 at " +
-            std::to_string(s));
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-/// Exactly-once: replica 0's post-Flush ledger holds every submitted payload
-/// exactly once and nothing else.
-Status CheckExactlyOnce(const ledger::LedgerDb& ledger,
-                        const std::vector<Bytes>& submitted) {
-  std::map<Bytes, size_t> counts;
-  for (uint64_t s = 0; s < ledger.size(); ++s) {
-    auto entry = ledger.GetEntry(s);
-    PREVER_RETURN_IF_ERROR(entry.status());
-    ++counts[entry->payload];
-  }
-  if (ledger.size() != submitted.size()) {
-    return Status::IntegrityViolation(
-        "ledger size " + std::to_string(ledger.size()) + " != submitted " +
-        std::to_string(submitted.size()));
-  }
-  for (const Bytes& payload : submitted) {
-    auto it = counts.find(payload);
-    if (it == counts.end()) {
-      return Status::IntegrityViolation("payload missing from ledger");
-    }
-    if (it->second != 1) {
-      return Status::IntegrityViolation(
-          "payload committed " + std::to_string(it->second) + " times");
-    }
-  }
-  return Status::Ok();
-}
-
 /// Save-then-reload: a final checkpoint must survive its own validation and
 /// carry the recomputed Merkle root of the live ledger.
 template <typename OrderingT>
-Status CheckCheckpointRoot(OrderingT& ordering, DurableReplica& d) {
+Status CheckCheckpointRoot(OrderingT& ordering,
+                           recovery::CheckpointStore& store) {
   recovery::CheckpointContents contents;
   contents.ledger = &ordering.ReplicaLedger(0);
   contents.consensus_seq = ~uint64_t{0};  // Sentinel: newest by id anyway.
-  PREVER_RETURN_IF_ERROR(d.store->Save(contents).status());
-  PREVER_ASSIGN_OR_RETURN(recovery::Checkpoint reloaded, d.store->LoadLatest());
+  PREVER_RETURN_IF_ERROR(store.Save(contents).status());
+  PREVER_ASSIGN_OR_RETURN(recovery::Checkpoint reloaded, store.LoadLatest());
   auto live = ordering.ReplicaLedger(0).Digest();
   if (reloaded.manifest.ledger_root != live.root ||
       reloaded.ledger.Digest().root != live.root) {
@@ -349,6 +150,83 @@ std::string DefaultWorkDir(const char* proto, uint64_t seed) {
   return (base / ("prever_crashrec_" + std::string(proto) + "_" +
                   std::to_string(seed)))
       .string();
+}
+
+/// The scenarios' group-commit window: batches of 4, two in flight.
+const core::OrderingPipelineConfig kPipeline = [] {
+  core::OrderingPipelineConfig p;
+  p.max_batch = 4;
+  p.max_inflight = 2;
+  return p;
+}();
+
+/// What differs between the protocols' scenarios, as data.
+template <typename OrderingT>
+struct Protocol;
+
+template <>
+struct Protocol<core::RaftOrdering> {
+  static constexpr const char* kName = "raft";
+  /// Replica 0 may die: the scenario enqueues without waiting while it is
+  /// down.
+  static constexpr bool kReplica0MayDie = true;
+  /// Quiet tail after the last Flush: followers drain replication traffic.
+  static constexpr SimTime kQuietTail = 5 * kSecond;
+  static size_t MaxDown(size_t n) { return (n - 1) / 2; }
+  static auto Make(const CrashRecoveryOptions& o,
+                   const net::SimNetConfig& net) {
+    return std::make_unique<core::RaftOrdering>(o.num_replicas, net,
+                                                kPipeline, o.recovery);
+  }
+  /// The physical log, compacted below the applied floor at every durable
+  /// checkpoint: at most `checkpoint_every` applied batches since the last
+  /// compaction, plus the re-submitted duplicates and in-flight window.
+  static constexpr const char* kLogName = "physical Raft log";
+  static size_t LogEntries(core::RaftOrdering& ordering, size_t i) {
+    return ordering.cluster().replica(i).physical_log_entries();
+  }
+  static size_t LogBound(const CrashRecoveryOptions& options) {
+    return options.recovery.checkpoint_every + 2 * kPipeline.max_inflight;
+  }
+};
+
+template <>
+struct Protocol<core::PbftOrdering> {
+  static constexpr const char* kName = "pbft";
+  static constexpr bool kReplica0MayDie = false;
+  /// State-transfer rounds (fetch -> responses -> certified suffix
+  /// execution) need network time past the last Flush.
+  static constexpr SimTime kQuietTail = 10 * kSecond;
+  static size_t MaxDown(size_t n) { return std::max<size_t>((n - 1) / 3, 1); }
+  static auto Make(const CrashRecoveryOptions& o,
+                   const net::SimNetConfig& net) {
+    return std::make_unique<core::PbftOrdering>(
+        o.num_replicas, net, "pbft-crashrec", kPipeline, o.recovery);
+  }
+  /// The message log, garbage-collected below the stable checkpoint: the
+  /// protocol checkpoint interval plus the watermark window.
+  static constexpr const char* kLogName = "PBFT message log";
+  static size_t LogEntries(core::PbftOrdering& ordering, size_t i) {
+    return ordering.cluster().replica(i).log_slots();
+  }
+  static size_t LogBound(const CrashRecoveryOptions& options) {
+    return 4 * (options.recovery.checkpoint_interval +
+                2 * kPipeline.max_inflight * kPipeline.max_batch + 64);
+  }
+};
+
+/// The durable counters the report carries, summed over the replicas.
+template <typename OrderingT>
+void ReadDurableCounters(OrderingT& ordering, CrashRecoveryReport* report) {
+  report->checkpoints_saved = 0;
+  report->checkpoints_quarantined = 0;
+  report->journal_entries_replayed = 0;
+  for (size_t i = 0; i < ordering.num_replicas(); ++i) {
+    const recovery::DurableReplica& d = *ordering.durable(i);
+    report->checkpoints_saved += d.checkpoints_saved();
+    report->checkpoints_quarantined += d.store().quarantined();
+    report->journal_entries_replayed += d.entries_replayed();
+  }
 }
 
 }  // namespace
@@ -377,129 +255,54 @@ std::string CrashRecoveryReport::Summary(const char* protocol) const {
   return s;
 }
 
-// --------------------------------------------------------------------- Raft
-
-CrashRecoveryReport RunRaftCrashRecoveryScenario(
+template <typename OrderingT>
+CrashRecoveryReport RunCrashRecoveryScenario(
     uint64_t seed, const CrashRecoveryOptions& options) {
+  using P = Protocol<OrderingT>;
   CrashRecoveryReport report;
   report.seed = seed;
   CrashRecoveryOptions opts = options;
-  if (opts.work_dir.empty()) opts.work_dir = DefaultWorkDir("raft", seed);
-  CleanupWorkDir(opts.work_dir);
+  std::string& work_dir = opts.recovery.durable_dir;
+  if (work_dir.empty()) work_dir = DefaultWorkDir(P::kName, seed);
+  CleanupWorkDir(work_dir);
+
+  net::SimNetConfig net_config;
+  net_config.seed = seed;
+  std::unique_ptr<OrderingT> ordering = P::Make(opts, net_config);
 
   auto fail = [&](const Status& status) {
     report.ok = false;
     report.violation = status.message().empty()
                            ? std::string(StatusCodeName(status.code()))
                            : status.message();
-    CleanupWorkDir(opts.work_dir);
+    ReadDurableCounters(*ordering, &report);
+    CleanupWorkDir(work_dir);
     return report;
   };
-
-  std::vector<DurableReplica> durable;
-  if (Status s = InitDurable(opts, &durable); !s.ok()) return fail(s);
-
-  net::SimNetConfig net_config;
-  net_config.seed = seed;
-  core::OrderingPipelineConfig pipeline;
-  pipeline.max_batch = 4;
-  pipeline.max_inflight = 2;
-  core::RaftOrdering ordering(opts.num_replicas, net_config, pipeline);
-
-  Rng rng(seed);
-  // Journal every commit; every checkpoint_every events, checkpoint + compact
-  // the Raft log below the applied floor + truncate the journal below the
-  // previous checkpoint.
-  ordering.SetReplicaCommitObserver([&](size_t replica, uint64_t position,
-                                        uint64_t batch_id,
-                                        const std::vector<Bytes>& entries) {
-    DurableReplica& d = durable[replica];
-    if (d.crashed || !d.journal->is_open()) return;
-    (void)d.journal->Append({position, batch_id, entries});
-    if (++d.events_since_ckpt < opts.checkpoint_every) return;
-    d.events_since_ckpt = 0;
-    recovery::CheckpointContents contents;
-    contents.ledger = &ordering.ReplicaLedger(replica);
-    contents.consensus_seq = position;
-    contents.app_state = ordering.EncodeReplicaState(replica);
-    if (d.store->Save(contents).ok()) {
-      ++report.checkpoints_saved;
-      d.prev_ckpt_seq = d.last_ckpt_seq;
-      d.last_ckpt_seq = position;
-      d.store->GarbageCollect(2);
-      (void)ordering.cluster().replica(replica).CompactTo(
-          ordering.replica_applied_floor(replica), contents.app_state);
-      (void)d.journal->TruncateBelow(d.prev_ckpt_seq);
-    }
-  });
-
-  // Override the ordering's stock snapshot installer so installed state is
-  // also made durable (see PersistInstalledState).
-  for (size_t i = 0; i < opts.num_replicas; ++i) {
-    ordering.cluster().replica(i).SetSnapshotInstaller(
-        [&, i](uint64_t /*snap_index*/, const Bytes& blob) {
-          if (blob.empty()) return;
-          if (!ordering.RestoreReplicaState(i, blob).ok()) return;
-          PersistInstalledState(ordering, i,
-                                ordering.replica_applied_floor(i),
-                                ordering.EncodeReplicaState(i), durable[i],
-                                &report);
-        });
+  if (!ordering->recovery_status().ok()) {
+    return fail(ordering->recovery_status());
   }
 
-  std::vector<CrashEvent> plan = PlanCrashes(seed, opts, /*allow_replica0=*/true);
+  Rng rng(seed);
+  std::vector<CrashEvent> plan = PlanCrashes(seed, opts, P::kReplica0MayDie);
+  const size_t max_down = P::MaxDown(opts.num_replicas);
   std::vector<Bytes> submitted;
   size_t next_crash = 0;
   std::set<size_t> down;
 
-  auto recover_replica = [&](size_t victim) -> Status {
-    DurableReplica& d = durable[victim];
+  auto restart = [&](size_t victim) -> Status {
     report.trace += "recover r" + std::to_string(victim) + "\n";
-    auto rebuilt = RebuildFromDurable(d, /*decode_raft_batch_ids=*/true);
-    PREVER_RETURN_IF_ERROR(rebuilt.status());
-    report.journal_entries_replayed += rebuilt->replayed;
-    // Re-anchor the checkpoint chain on what actually survived (the newest
-    // file may have been quarantined); prev = 0 keeps the journal
-    // conservatively long until the next save re-establishes a chain.
-    d.last_ckpt_seq = rebuilt->checkpoint_seq;
-    d.prev_ckpt_seq = 0;
-    PREVER_RETURN_IF_ERROR(ResetJournal(d, rebuilt->kept));
-    d.crashed = false;
-    d.events_since_ckpt = 0;
-    ordering.network().RestartNode(static_cast<net::NodeId>(victim));
-    auto& rep = ordering.cluster().replica(victim);
-    if (rep.snapshot_index() > rebuilt->floor && !rep.snapshot_blob().empty()) {
-      // The (durable) Raft log was compacted past the journal coverage —
-      // entries below the snapshot are gone from the log, so a rewind to
-      // the durable floor could never re-deliver them. The snapshot blob
-      // embedded in the log carries the app state; install it, then persist
-      // so the on-disk chain is anchored again.
-      PREVER_RETURN_IF_ERROR(
-          ordering.RestoreReplicaState(victim, rep.snapshot_blob()));
-      rep.Recover(ordering.replica_applied_floor(victim));
-      PersistInstalledState(ordering, victim,
-                            ordering.replica_applied_floor(victim),
-                            ordering.EncodeReplicaState(victim), d, &report);
-    } else {
-      // RestoreReplica re-enters RaftReplica::Recover: rewind to the durable
-      // floor and re-deliver the committed suffix through the apply callback
-      // (batch-id dedup absorbs anything the ledger already holds).
-      PREVER_RETURN_IF_ERROR(ordering.RestoreReplica(
-          victim, std::move(rebuilt->ledger), rebuilt->floor,
-          rebuilt->batch_ids));
-    }
+    PREVER_RETURN_IF_ERROR(ordering->RestartReplica(victim));
     ++report.recoveries;
     return Status::Ok();
   };
 
   for (size_t k = 0; k < opts.num_payloads; ++k) {
     // Restart any victim whose outage window ended.
-    for (size_t c = 0; c < plan.size(); ++c) {
-      if (plan[c].recover_at == k && down.count(plan[c].victim)) {
-        down.erase(plan[c].victim);
-        if (Status s = recover_replica(plan[c].victim); !s.ok()) {
-          return fail(s);
-        }
+    for (const CrashEvent& ev : plan) {
+      if (ev.recover_at == k && down.count(ev.victim)) {
+        down.erase(ev.victim);
+        if (Status s = restart(ev.victim); !s.ok()) return fail(s);
       }
     }
     Bytes payload = MakePayload(seed, k);
@@ -507,223 +310,67 @@ CrashRecoveryReport RunRaftCrashRecoveryScenario(
     // While replica 0 (the commit counter) is down, enqueue without waiting:
     // commitment is driven after its recovery.
     if (down.count(0)) {
-      if (auto t = ordering.SubmitAsync(payload, 0); !t.ok()) {
+      if (auto t = ordering->SubmitAsync(payload, 0); !t.ok()) {
         return fail(t.status());
       }
     } else {
-      if (Status s = ordering.Append(payload, 0); !s.ok()) return fail(s);
+      if (Status s = ordering->Append(payload, 0); !s.ok()) return fail(s);
     }
     if (next_crash < plan.size() && plan[next_crash].at == k) {
       const CrashEvent& ev = plan[next_crash++];
-      if (!down.count(ev.victim) && down.size() < (opts.num_replicas - 1) / 2) {
+      if (!down.count(ev.victim) && down.size() < max_down) {
         down.insert(ev.victim);
         ++report.crashes;
         report.trace += "crash r" + std::to_string(ev.victim) + " @" +
                         std::to_string(k) + " " + CrashPointName(ev.point) +
                         "\n";
-        ordering.network().CrashNode(static_cast<net::NodeId>(ev.victim));
-        ordering.cluster().replica(ev.victim).Crash();
-        durable[ev.victim].crashed = true;
-        durable[ev.victim].journal->Close();
-        ApplyCrashDamage(durable[ev.victim], ev.point, rng, &report.trace);
+        ordering->CrashReplica(ev.victim);
+        ApplyCrashDamage(*ordering->durable(ev.victim), ev.point, rng,
+                         &report.trace);
       }
     }
   }
   for (size_t victim : std::set<size_t>(down)) {
     down.erase(victim);
-    if (Status s = recover_replica(victim); !s.ok()) return fail(s);
+    if (Status s = restart(victim); !s.ok()) return fail(s);
   }
-  if (Status s = ordering.Flush(); !s.ok()) return fail(s);
-  // Quiet tail: let followers drain replication traffic.
-  ordering.network().RunUntil(ordering.network().Now() + 5 * kSecond);
+  if (Status s = ordering->Flush(); !s.ok()) return fail(s);
+  ordering->network().RunUntil(ordering->network().Now() + P::kQuietTail);
 
-  report.committed = ordering.ReplicaLedger(0).size();
-  for (const DurableReplica& d : durable) {
-    report.checkpoints_quarantined += d.store->quarantined();
+  report.committed = ordering->ReplicaLedger(0).size();
+  ReadDurableCounters(*ordering, &report);
+  std::vector<const ledger::LedgerDb*> ledgers;
+  for (size_t i = 0; i < opts.num_replicas; ++i) {
+    ledgers.push_back(&ordering->ReplicaLedger(i));
   }
-  if (Status s = CheckExactlyOnce(ordering.ReplicaLedger(0), submitted);
+  if (Status s = CheckOrderedLedgers(ordering->CommittedCount(), ledgers,
+                                     submitted);
       !s.ok()) {
     return fail(s);
   }
-  if (Status s = CheckLedgerPrefixes(ordering, opts.num_replicas); !s.ok()) {
-    return fail(s);
-  }
-  if (Status s = CheckCheckpointRoot(ordering, durable[0]); !s.ok()) {
-    return fail(s);
-  }
-  CleanupWorkDir(opts.work_dir);
-  return report;
-}
-
-// --------------------------------------------------------------------- PBFT
-
-CrashRecoveryReport RunPbftCrashRecoveryScenario(
-    uint64_t seed, const CrashRecoveryOptions& options) {
-  CrashRecoveryReport report;
-  report.seed = seed;
-  CrashRecoveryOptions opts = options;
-  if (opts.work_dir.empty()) opts.work_dir = DefaultWorkDir("pbft", seed);
-  CleanupWorkDir(opts.work_dir);
-
-  auto fail = [&](const Status& status) {
-    report.ok = false;
-    report.violation = status.message().empty()
-                           ? std::string(StatusCodeName(status.code()))
-                           : status.message();
-    CleanupWorkDir(opts.work_dir);
-    return report;
-  };
-
-  std::vector<DurableReplica> durable;
-  if (Status s = InitDurable(opts, &durable); !s.ok()) return fail(s);
-
-  net::SimNetConfig net_config;
-  net_config.seed = seed;
-  core::OrderingPipelineConfig pipeline;
-  pipeline.max_batch = 4;
-  pipeline.max_inflight = 2;
-  core::OrderingRecoveryConfig recovery_config;
-  recovery_config.checkpoint_interval = opts.pbft_checkpoint_interval;
-  recovery_config.enable_state_transfer = true;
-  core::PbftOrdering ordering(opts.num_replicas, net_config, "pbft-crashrec",
-                              pipeline, recovery_config);
-
-  Rng rng(seed);
-  ordering.SetReplicaCommitObserver([&](size_t replica, uint64_t position,
-                                        uint64_t batch_id,
-                                        const std::vector<Bytes>& entries) {
-    DurableReplica& d = durable[replica];
-    if (d.crashed || !d.journal->is_open()) return;
-    (void)d.journal->Append({position, batch_id, entries});
-    if (++d.events_since_ckpt < opts.checkpoint_every) return;
-    d.events_since_ckpt = 0;
-    recovery::CheckpointContents contents;
-    contents.ledger = &ordering.ReplicaLedger(replica);
-    contents.consensus_seq = position;
-    // The durable app blob is the protocol-level stable checkpoint: on
-    // restart it re-anchors the replica's low watermark; state transfer
-    // covers executions past it.
-    contents.app_state =
-        ordering.cluster().replica(replica).stable_checkpoint_blob();
-    if (d.store->Save(contents).ok()) {
-      ++report.checkpoints_saved;
-      d.prev_ckpt_seq = d.last_ckpt_seq;
-      d.last_ckpt_seq = position;
-      d.store->GarbageCollect(2);
-      (void)d.journal->TruncateBelow(d.prev_ckpt_seq);
-    }
-  });
-
-  // Override the ordering's stock install callback so transferred state is
-  // also made durable (see PersistInstalledState). The snapshot side must
-  // stay EncodeReplicaState: it is what peers embed in checkpoint blobs.
-  for (size_t i = 0; i < opts.num_replicas; ++i) {
-    ordering.cluster().replica(i).SetStateCallbacks(
-        [&, i] { return ordering.EncodeReplicaState(i); },
-        [&, i](uint64_t /*seq*/, const Bytes& app) {
-          if (app.empty()) return;
-          if (!ordering.RestoreReplicaState(i, app).ok()) return;
-          PersistInstalledState(
-              ordering, i, ordering.replica_applied_seq(i),
-              ordering.cluster().replica(i).stable_checkpoint_blob(),
-              durable[i], &report);
-        });
-  }
-
-  std::vector<CrashEvent> plan =
-      PlanCrashes(seed, opts, /*allow_replica0=*/false);
-  std::vector<Bytes> submitted;
-  size_t next_crash = 0;
-  std::set<size_t> down;
-
-  auto recover_replica = [&](size_t victim) -> Status {
-    DurableReplica& d = durable[victim];
-    report.trace += "recover r" + std::to_string(victim) + "\n";
-    auto rebuilt = RebuildFromDurable(d, /*decode_raft_batch_ids=*/false);
-    PREVER_RETURN_IF_ERROR(rebuilt.status());
-    report.journal_entries_replayed += rebuilt->replayed;
-    d.last_ckpt_seq = rebuilt->checkpoint_seq;
-    d.prev_ckpt_seq = 0;
-    PREVER_RETURN_IF_ERROR(ResetJournal(d, rebuilt->kept));
-    d.crashed = false;
-    d.events_since_ckpt = 0;
-    ordering.network().RestartNode(static_cast<net::NodeId>(victim));
-    // Protocol restart first (installs the stable blob, broadcasts a
-    // fetch-state request), then overlay the fuller journal-replayed ledger
-    // so commits at or below the durable floor are not re-appended.
-    ordering.cluster().replica(victim).Restart(rebuilt->app_state);
-    PREVER_RETURN_IF_ERROR(ordering.RestoreReplica(
-        victim, std::move(rebuilt->ledger), rebuilt->floor));
-    ++report.recoveries;
-    return Status::Ok();
-  };
-
-  for (size_t k = 0; k < opts.num_payloads; ++k) {
-    for (size_t c = 0; c < plan.size(); ++c) {
-      if (plan[c].recover_at == k && down.count(plan[c].victim)) {
-        down.erase(plan[c].victim);
-        if (Status s = recover_replica(plan[c].victim); !s.ok()) {
-          return fail(s);
-        }
-      }
-    }
-    Bytes payload = MakePayload(seed, k);
-    submitted.push_back(payload);
-    if (Status s = ordering.Append(payload, 0); !s.ok()) return fail(s);
-    if (next_crash < plan.size() && plan[next_crash].at == k) {
-      const CrashEvent& ev = plan[next_crash++];
-      size_t f = (opts.num_replicas - 1) / 3;
-      if (!down.count(ev.victim) && down.size() < std::max<size_t>(f, 1)) {
-        down.insert(ev.victim);
-        ++report.crashes;
-        report.trace += "crash r" + std::to_string(ev.victim) + " @" +
-                        std::to_string(k) + " " + CrashPointName(ev.point) +
-                        "\n";
-        ordering.network().CrashNode(static_cast<net::NodeId>(ev.victim));
-        ordering.cluster().replica(ev.victim).Crash();
-        durable[ev.victim].crashed = true;
-        durable[ev.victim].journal->Close();
-        ApplyCrashDamage(durable[ev.victim], ev.point, rng, &report.trace);
-      }
-    }
-  }
-  for (size_t victim : std::set<size_t>(down)) {
-    down.erase(victim);
-    if (Status s = recover_replica(victim); !s.ok()) return fail(s);
-  }
-  if (Status s = ordering.Flush(); !s.ok()) return fail(s);
-  // Quiet tail: state transfer rounds (fetch -> responses -> certified
-  // suffix execution) need network time past the last flush.
-  ordering.network().RunUntil(ordering.network().Now() + 10 * kSecond);
-
-  report.committed = ordering.ReplicaLedger(0).size();
-  for (const DurableReplica& d : durable) {
-    report.checkpoints_quarantined += d.store->quarantined();
-  }
-  if (Status s = CheckExactlyOnce(ordering.ReplicaLedger(0), submitted);
+  if (Status s = CheckCheckpointRoot(*ordering, ordering->durable(0)->store());
       !s.ok()) {
     return fail(s);
   }
-  if (Status s = CheckLedgerPrefixes(ordering, opts.num_replicas); !s.ok()) {
-    return fail(s);
-  }
-  if (Status s = CheckCheckpointRoot(ordering, durable[0]); !s.ok()) {
-    return fail(s);
-  }
-  // Message-log GC: every live replica's log must be bounded by the
-  // protocol checkpoint interval plus the watermark window.
+  // Compaction / GC keeps every live replica's log bounded by the
+  // checkpoint interval, not the history length.
+  const size_t bound = P::LogBound(opts);
   for (size_t i = 0; i < opts.num_replicas; ++i) {
-    size_t bound = opts.pbft_checkpoint_interval +
-                   2 * pipeline.max_inflight * pipeline.max_batch + 64;
-    size_t slots = ordering.cluster().replica(i).log_slots();
-    if (slots > bound * 4) {
+    size_t entries = P::LogEntries(*ordering, i);
+    if (entries > bound) {
       return fail(Status::IntegrityViolation(
-          "replica " + std::to_string(i) + " message log unbounded: " +
-          std::to_string(slots) + " slots"));
+          "replica " + std::to_string(i) + " " + P::kLogName +
+          " unbounded: " + std::to_string(entries) + " entries > " +
+          std::to_string(bound)));
     }
   }
-  CleanupWorkDir(opts.work_dir);
+  CleanupWorkDir(work_dir);
   return report;
 }
+
+template CrashRecoveryReport RunCrashRecoveryScenario<core::RaftOrdering>(
+    uint64_t seed, const CrashRecoveryOptions& options);
+template CrashRecoveryReport RunCrashRecoveryScenario<core::PbftOrdering>(
+    uint64_t seed, const CrashRecoveryOptions& options);
 
 }  // namespace prever::simtest

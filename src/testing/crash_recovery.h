@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/sim_clock.h"
+#include "core/ordering.h"
 
 namespace prever::simtest {
 
@@ -24,27 +25,28 @@ const char* CrashPointName(CrashPoint point);
 
 /// Configuration for one randomized end-to-end crash/recovery scenario: an
 /// ordering service commits payloads while seed-chosen replicas are killed
-/// at seed-chosen crash points, durably checkpointed state is damaged per
-/// the crash point, and every victim restarts through checkpoint load +
-/// journal replay + consensus-level recovery (Raft snapshot/log replay,
-/// PBFT checkpoint install + state transfer).
+/// (CrashReplica) at seed-chosen crash points, the victim's durable state
+/// is damaged per the crash point, and every victim restarts through the
+/// ordering's own RestartReplica: checkpoint load + journal replay +
+/// consensus-level recovery (Raft snapshot/log replay, PBFT checkpoint
+/// install + state transfer).
 struct CrashRecoveryOptions {
   size_t num_replicas = 4;
   size_t num_payloads = 48;
-  /// Commit events per replica between durable checkpoints (also drives
-  /// Raft log compaction and journal truncation).
-  uint64_t checkpoint_every = 6;
   size_t max_crashes = 3;
   /// Max payloads committed by the survivors while a victim is down — forces
   /// the restarted replica to catch up past its own durable state.
   size_t max_gap = 4;
-  /// PBFT stable-checkpoint interval (protocol-level; enables message-log GC
-  /// and state transfer). Ignored by the Raft scenario.
-  uint64_t pbft_checkpoint_interval = 4;
-  /// Root directory for per-replica durable state (checkpoints + journal);
-  /// the harness creates `<work_dir>/r<i>/` under it and removes the tree at
-  /// scenario end. Must be writable and unique per concurrent scenario.
-  std::string work_dir;
+  /// The ordering's recovery config. `durable_dir` must be writable and
+  /// unique per concurrent scenario (default: a per-seed temp directory);
+  /// the tree is removed at scenario end. Raft ignores the PBFT-only
+  /// `checkpoint_interval` and `enable_state_transfer`.
+  core::OrderingRecoveryConfig recovery = [] {
+    core::OrderingRecoveryConfig r;
+    r.checkpoint_interval = 4;
+    r.enable_state_transfer = true;
+    return r;
+  }();
 };
 
 struct CrashRecoveryReport {
@@ -63,23 +65,26 @@ struct CrashRecoveryReport {
   std::string Summary(const char* protocol) const;
 };
 
-/// Raft: crashes (including replica 0 and mid-checkpoint / mid-WAL-append
-/// points), restarts through CheckpointStore::LoadLatest + commit-journal
-/// replay + RaftReplica::Recover; periodic checkpoints drive CompactTo (log
-/// truncation below the snapshot) and journal truncation. Final checks:
-/// every payload committed exactly once on replica 0, all replica ledgers
-/// digest-identical on their common prefix, checkpoint manifests match the
-/// recomputed Merkle root, and the physical Raft log stays bounded.
-CrashRecoveryReport RunRaftCrashRecoveryScenario(
+/// One scenario over core::RaftOrdering or core::PbftOrdering. The
+/// protocols differ only in data: whether replica 0 (the commit counter
+/// Flush waits on) may be a victim (Raft: yes; PBFT: no), how many replicas
+/// may be down at once ((n-1)/2 vs f), the quiet tail after the last Flush
+/// (5 s vs 10 s, PBFT state transfer needs the longer one), and which log
+/// must stay bounded by the checkpoint interval (the physical Raft log,
+/// compacted at every durable checkpoint, vs the PBFT message log,
+/// garbage-collected below the stable checkpoint). Final checks: the
+/// commit counter equals the payloads submitted, every payload committed
+/// exactly once on replica 0, all replica ledgers digest-identical on their
+/// common prefix, a final checkpoint's manifest matches the recomputed
+/// Merkle root, and that log bound.
+template <typename OrderingT>
+CrashRecoveryReport RunCrashRecoveryScenario(
     uint64_t seed, const CrashRecoveryOptions& options);
 
-/// PBFT: same shape; victims are backups (replica 0 is the commit counter
-/// the pipeline waits on). Restart installs the durably saved stable
-/// checkpoint blob, then fetches peer state (2f+1-certified checkpoint +
-/// f+1-certified suffix) to cover the gap. Also checks the message log is
-/// garbage-collected below the stable checkpoint.
-CrashRecoveryReport RunPbftCrashRecoveryScenario(
-    uint64_t seed, const CrashRecoveryOptions& options);
+extern template CrashRecoveryReport RunCrashRecoveryScenario<
+    core::RaftOrdering>(uint64_t seed, const CrashRecoveryOptions& options);
+extern template CrashRecoveryReport RunCrashRecoveryScenario<
+    core::PbftOrdering>(uint64_t seed, const CrashRecoveryOptions& options);
 
 }  // namespace prever::simtest
 

@@ -1,5 +1,7 @@
 #include "testing/invariants.h"
 
+#include <algorithm>
+
 namespace prever::simtest {
 
 namespace {
@@ -225,6 +227,58 @@ Status PbftInvariantChecker::CheckProvenance(
     return Status::Ok();
   }
   return checker_.CheckProvenance(submitted);
+}
+
+// ------------------------------------------------------ Ordered ledgers
+
+Status CheckOrderedLedgers(uint64_t committed,
+                           const std::vector<const ledger::LedgerDb*>& ledgers,
+                           const std::vector<Bytes>& submitted) {
+  if (committed != submitted.size()) {
+    return Status::IntegrityViolation(
+        "committed " + std::to_string(committed) + " != submitted " +
+        std::to_string(submitted.size()));
+  }
+  const ledger::LedgerDb& first = *ledgers[0];
+  if (first.size() != submitted.size()) {
+    return Status::IntegrityViolation(
+        "replica-0 ledger has " + std::to_string(first.size()) +
+        " entries, submitted " + std::to_string(submitted.size()));
+  }
+  std::map<Bytes, size_t> counts;
+  for (uint64_t i = 0; i < first.size(); ++i) {
+    PREVER_ASSIGN_OR_RETURN(ledger::LedgerEntry e, first.GetEntry(i));
+    ++counts[e.payload];
+  }
+  for (const Bytes& payload : submitted) {
+    auto it = counts.find(payload);
+    size_t n = it == counts.end() ? 0 : it->second;
+    if (n != 1) {
+      return Status::IntegrityViolation(
+          "payload " + Preview(payload) + " appears " + std::to_string(n) +
+          " times in the replica-0 ledger (double execution or loss)");
+    }
+  }
+  for (size_t r = 1; r < ledgers.size(); ++r) {
+    const ledger::LedgerDb& db = *ledgers[r];
+    std::set<Bytes> seen;
+    for (uint64_t i = 0; i < db.size(); ++i) {
+      PREVER_ASSIGN_OR_RETURN(ledger::LedgerEntry e, db.GetEntry(i));
+      if (!seen.insert(e.payload).second) {
+        return Status::IntegrityViolation("replica " + std::to_string(r) +
+                                          " ledger holds a duplicate payload");
+      }
+    }
+    uint64_t prefix = std::min(first.size(), db.size());
+    PREVER_ASSIGN_OR_RETURN(ledger::LedgerDigest want, first.DigestAt(prefix));
+    PREVER_ASSIGN_OR_RETURN(ledger::LedgerDigest got, db.DigestAt(prefix));
+    if (!(got == want)) {
+      return Status::IntegrityViolation(
+          "replica " + std::to_string(r) + " diverges from replica 0 within " +
+          "their common prefix of " + std::to_string(prefix));
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace prever::simtest

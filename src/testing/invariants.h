@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "consensus/pbft.h"
 #include "consensus/raft.h"
+#include "ledger/ledger_db.h"
 
 namespace prever::simtest {
 
@@ -98,6 +99,16 @@ class PbftInvariantChecker {
   std::set<Bytes> seen_commands_;
   std::string first_violation_;
 };
+
+/// Post-Flush ledger invariants of an ordering run: the ordering's commit
+/// counter (`committed`, what Flush and SubmitAsync tickets wait on) and
+/// replica 0's ledger (`ledgers[0]`) both count every submitted payload,
+/// that ledger holds each one exactly once, no replica ledger holds a
+/// payload twice, and every replica ledger is digest-identical to replica
+/// 0's on their common prefix.
+Status CheckOrderedLedgers(uint64_t committed,
+                           const std::vector<const ledger::LedgerDb*>& ledgers,
+                           const std::vector<Bytes>& submitted);
 
 }  // namespace prever::simtest
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <set>
 
 #include "core/ordering.h"
@@ -342,74 +341,26 @@ core::OrderingPipelineConfig PipelineFor(uint64_t seed) {
   return p;
 }
 
-/// Post-Flush ledger invariants shared by the Raft and PBFT ordering runs:
-/// every submitted payload exactly once in the replica-0 ledger, no
-/// duplicates in any replica ledger, and digest-identical common prefixes.
-template <typename LedgerAt>
-Status CheckOrderingLedgers(size_t num_replicas, size_t num_payloads,
-                            uint64_t committed, const LedgerAt& ledger_at) {
-  if (committed != num_payloads) {
-    return Status::Internal("committed " + std::to_string(committed) +
-                            " != submitted " + std::to_string(num_payloads));
-  }
-  const ledger::LedgerDb& first = ledger_at(0);
-  if (first.size() != num_payloads) {
-    return Status::Internal("replica-0 ledger has " +
-                            std::to_string(first.size()) + " entries, want " +
-                            std::to_string(num_payloads));
-  }
-  std::map<Bytes, size_t> counts;
-  for (uint64_t i = 0; i < first.size(); ++i) {
-    PREVER_ASSIGN_OR_RETURN(ledger::LedgerEntry e, first.GetEntry(i));
-    ++counts[e.payload];
-  }
-  for (size_t i = 0; i < num_payloads; ++i) {
-    auto it = counts.find(PayloadBytes(i));
-    size_t n = it == counts.end() ? 0 : it->second;
-    if (n != 1) {
-      return Status::Internal("payload " + std::to_string(i) + " appears " +
-                              std::to_string(n) + " times in replica-0 "
-                              "ledger (double execution or loss)");
-    }
-  }
-  uint64_t prefix = first.size();
-  for (size_t r = 1; r < num_replicas; ++r) {
-    prefix = std::min<uint64_t>(prefix, ledger_at(r).size());
-  }
-  PREVER_ASSIGN_OR_RETURN(ledger::LedgerDigest want, first.DigestAt(prefix));
-  for (size_t r = 1; r < num_replicas; ++r) {
-    const ledger::LedgerDb& db = ledger_at(r);
-    std::set<Bytes> seen;
-    for (uint64_t i = 0; i < db.size(); ++i) {
-      PREVER_ASSIGN_OR_RETURN(ledger::LedgerEntry e, db.GetEntry(i));
-      if (!seen.insert(e.payload).second) {
-        return Status::Internal("replica " + std::to_string(r) +
-                                " ledger holds a duplicate payload");
-      }
-    }
-    PREVER_ASSIGN_OR_RETURN(ledger::LedgerDigest got, db.DigestAt(prefix));
-    if (!(got == want)) {
-      return Status::Internal(
-          "replica " + std::to_string(r) +
-          " ledger digest diverges from replica 0 at prefix " +
-          std::to_string(prefix));
-    }
-  }
-  return Status::Ok();
-}
-
 /// Drives one ordering service through a fault schedule: paced SubmitAsync
 /// submissions over the horizon, then full repair, then Flush + invariants.
-template <typename Ordering, typename LedgerAt>
-RunOutcome RunOrderingOnce(Ordering& ordering, net::SimNetwork& net,
-                           const FaultSchedule& schedule,
-                           const FaultHooks& hooks,
-                           const OrderingSimOptions& o,
-                           const std::set<net::NodeId>* crashed,
-                           const std::function<void(net::NodeId)>& revive,
-                           const LedgerAt& ledger_at, bool record_trace) {
+/// `protocol` crashes and restarts one replica's protocol state.
+template <typename Ordering>
+RunOutcome RunOrderingOnce(Ordering& ordering, const FaultSchedule& schedule,
+                           const FaultHooks& protocol,
+                           const OrderingSimOptions& o, bool record_trace) {
   RunOutcome out;
   std::string* tr = record_trace ? &out.trace : nullptr;
+  net::SimNetwork& net = ordering.network();
+  std::set<net::NodeId> crashed;  // Down when the horizon ends.
+  FaultHooks hooks;
+  hooks.crash = [&](net::NodeId id) {
+    protocol.crash(id);
+    crashed.insert(id);
+  };
+  hooks.restart = [&](net::NodeId id) {
+    protocol.restart(id);
+    crashed.erase(id);
+  };
   InstallSchedule(&net, schedule, hooks, tr);
 
   const SimTime start = net.Now();
@@ -440,17 +391,25 @@ RunOutcome RunOrderingOnce(Ordering& ordering, net::SimNetwork& net,
   net.ClearLinkLatencies();
   net.set_drop_rate(o.base_drop_rate);
   net.SetTimerScale(1.0);
-  for (net::NodeId id : *crashed) {
+  for (net::NodeId id : crashed) {
     net.RestartNode(id);
-    revive(id);
+    protocol.restart(id);
   }
   Status flushed = ordering.Flush();
   if (!flushed.ok()) {
     out.ok = false;
     out.violation = "Flush failed: " + flushed.message();
   } else {
-    Status s = CheckOrderingLedgers(o.num_replicas, o.num_payloads,
-                                    ordering.CommittedCount(), ledger_at);
+    std::vector<const ledger::LedgerDb*> ledgers;
+    std::vector<Bytes> submitted;
+    for (size_t r = 0; r < o.num_replicas; ++r) {
+      ledgers.push_back(&ordering.ReplicaLedger(r));
+    }
+    for (size_t i = 0; i < o.num_payloads; ++i) {
+      submitted.push_back(PayloadBytes(i));
+    }
+    Status s =
+        CheckOrderedLedgers(ordering.CommittedCount(), ledgers, submitted);
     if (!s.ok()) {
       out.ok = false;
       out.violation = s.message();
@@ -474,24 +433,12 @@ RunOutcome RunRaftOrderingOnce(uint64_t seed, const FaultSchedule& schedule,
   ncfg.seed = seed ^ 0xC0FFEEULL;
   core::RaftOrdering ordering(o.num_replicas, ncfg, PipelineFor(seed));
 
-  std::set<net::NodeId> crashed;
   FaultHooks hooks;
-  hooks.crash = [&](net::NodeId id) {
-    ordering.cluster().replica(id).Crash();
-    crashed.insert(id);
-  };
+  hooks.crash = [&](net::NodeId id) { ordering.cluster().replica(id).Crash(); };
   hooks.restart = [&](net::NodeId id) {
     ordering.cluster().replica(id).Restart();
-    crashed.erase(id);
   };
-  auto revive = [&](net::NodeId id) {
-    ordering.cluster().replica(id).Restart();
-  };
-  auto ledger_at = [&](size_t r) -> const ledger::LedgerDb& {
-    return ordering.ReplicaLedger(r);
-  };
-  return RunOrderingOnce(ordering, ordering.network(), schedule, hooks, o,
-                         &crashed, revive, ledger_at, record_trace);
+  return RunOrderingOnce(ordering, schedule, hooks, o, record_trace);
 }
 
 RunOutcome RunPbftOrderingOnce(uint64_t seed, const FaultSchedule& schedule,
@@ -526,32 +473,24 @@ RunOutcome RunPbftOrderingOnce(uint64_t seed, const FaultSchedule& schedule,
                      }),
       filtered.actions.end());
 
-  std::set<net::NodeId> crashed;
   FaultHooks hooks;
   hooks.crash = [&](net::NodeId id) {
     ordering.cluster().replica(id).SetFaultMode(
         consensus::PbftFaultMode::kSilent);
-    crashed.insert(id);
   };
   hooks.restart = [&](net::NodeId id) {
     ordering.cluster().replica(id).SetFaultMode(
         consensus::PbftFaultMode::kHonest);
-    crashed.erase(id);
   };
-  auto revive = [&](net::NodeId id) {
-    ordering.cluster().replica(id).SetFaultMode(
-        consensus::PbftFaultMode::kHonest);
-  };
-  auto ledger_at = [&](size_t r) -> const ledger::LedgerDb& {
-    return ordering.ReplicaLedger(r);
-  };
-  return RunOrderingOnce(ordering, ordering.network(), filtered, hooks, o,
-                         &crashed, revive, ledger_at, record_trace);
+  return RunOrderingOnce(ordering, filtered, hooks, o, record_trace);
 }
 
 // ------------------------------------------------------- Shrink + report
 
-using RunFn = std::function<RunOutcome(const FaultSchedule&, bool record)>;
+/// One deterministic run of a seed's schedule (RunRaftOnce and friends).
+template <typename Options>
+using RunOnceFn = RunOutcome (*)(uint64_t seed, const FaultSchedule& schedule,
+                                 const Options& options, bool record_trace);
 
 /// Scenario-scoped causal tracing: sample every transaction into a small
 /// flight-recorder ring so a failing run's report can show the last events
@@ -573,16 +512,20 @@ class ScopedScenarioTracing {
   std::string Tail() const { return obs::Tracer::Get().TailString(32); }
 };
 
-SimReport RunWithShrink(uint64_t seed, const ConsensusSimOptions& o,
-                        const RunFn& run_once) {
-  ScenarioGenerator generator(ScenarioOptionsFor(o));
+/// Runs the seed's schedule once and, on a violation, shrinks it. Both the
+/// consensus and the ordering scenarios go through here.
+template <typename Options>
+SimReport RunWithShrink(uint64_t seed, const Options& options,
+                        RunOnceFn<Options> run_once) {
+  ScenarioGenerator generator(ScenarioOptionsFor(options));
   SimReport report;
   report.seed = seed;
   report.schedule = generator.Generate(seed);
   report.reduced = report.schedule;
 
   ScopedScenarioTracing tracing;
-  RunOutcome out = run_once(report.schedule, o.record_trace);
+  RunOutcome out = run_once(seed, report.schedule, options,
+                            options.record_trace);
   report.ok = out.ok;
   report.violation = out.violation;
   report.trace = out.trace;
@@ -590,7 +533,7 @@ SimReport RunWithShrink(uint64_t seed, const ConsensusSimOptions& o,
   report.committed = out.committed;
   report.net_stats = out.net_stats;
   if (!out.ok) report.trace_tail = tracing.Tail();
-  if (out.ok || !o.shrink_on_failure) return report;
+  if (out.ok || !options.shrink_on_failure) return report;
 
   // Greedy delta-debugging: drop one action at a time while the violation
   // persists. Deterministic replays make this sound.
@@ -601,7 +544,7 @@ SimReport RunWithShrink(uint64_t seed, const ConsensusSimOptions& o,
       FaultSchedule candidate = report.reduced;
       candidate.actions.erase(candidate.actions.begin() +
                               static_cast<ptrdiff_t>(i));
-      RunOutcome r = run_once(candidate, false);
+      RunOutcome r = run_once(seed, candidate, options, false);
       if (!r.ok) {
         report.reduced = candidate;
         report.violation = r.violation;
@@ -639,76 +582,22 @@ std::string SimReport::Summary(const char* protocol) const {
   return s;
 }
 
-namespace {
-
-SimReport RunOrderingWithShrink(uint64_t seed, const OrderingSimOptions& o,
-                                const RunFn& run_once) {
-  ScenarioGenerator generator(ScenarioOptionsFor(o));
-  SimReport report;
-  report.seed = seed;
-  report.schedule = generator.Generate(seed);
-  report.reduced = report.schedule;
-
-  ScopedScenarioTracing tracing;
-  RunOutcome out = run_once(report.schedule, o.record_trace);
-  report.ok = out.ok;
-  report.violation = out.violation;
-  report.trace = out.trace;
-  report.events = out.events;
-  report.committed = out.committed;
-  report.net_stats = out.net_stats;
-  if (!out.ok) report.trace_tail = tracing.Tail();
-  if (out.ok || !o.shrink_on_failure) return report;
-
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    for (size_t i = 0; i < report.reduced.actions.size(); ++i) {
-      FaultSchedule candidate = report.reduced;
-      candidate.actions.erase(candidate.actions.begin() +
-                              static_cast<ptrdiff_t>(i));
-      RunOutcome r = run_once(candidate, false);
-      if (!r.ok) {
-        report.reduced = candidate;
-        report.violation = r.violation;
-        improved = true;
-        break;
-      }
-    }
-  }
-  return report;
-}
-
-}  // namespace
-
 SimReport RunRaftOrderingScenario(uint64_t seed,
                                   const OrderingSimOptions& options) {
-  return RunOrderingWithShrink(
-      seed, options, [&](const FaultSchedule& schedule, bool record) {
-        return RunRaftOrderingOnce(seed, schedule, options, record);
-      });
+  return RunWithShrink(seed, options, RunRaftOrderingOnce);
 }
 
 SimReport RunPbftOrderingScenario(uint64_t seed,
                                   const OrderingSimOptions& options) {
-  return RunOrderingWithShrink(
-      seed, options, [&](const FaultSchedule& schedule, bool record) {
-        return RunPbftOrderingOnce(seed, schedule, options, record);
-      });
+  return RunWithShrink(seed, options, RunPbftOrderingOnce);
 }
 
 SimReport RunRaftScenario(uint64_t seed, const ConsensusSimOptions& options) {
-  return RunWithShrink(seed, options,
-                       [&](const FaultSchedule& schedule, bool record) {
-                         return RunRaftOnce(seed, schedule, options, record);
-                       });
+  return RunWithShrink(seed, options, RunRaftOnce);
 }
 
 SimReport RunPbftScenario(uint64_t seed, const ConsensusSimOptions& options) {
-  return RunWithShrink(seed, options,
-                       [&](const FaultSchedule& schedule, bool record) {
-                         return RunPbftOnce(seed, schedule, options, record);
-                       });
+  return RunWithShrink(seed, options, RunPbftOnce);
 }
 
 }  // namespace prever::simtest

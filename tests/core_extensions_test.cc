@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <initializer_list>
 #include <set>
 
+#include "common/serial.h"
 #include "constraint/parser.h"
 #include "core/prever.h"
 
@@ -194,6 +196,60 @@ TEST(BatchedOrderingTest, ReplicasAgreeAfterBatches) {
     replicas.push_back(&ordering.ReplicaLedger(i));
   }
   EXPECT_TRUE(IntegrityAuditor::CheckReplicaAgreement(replicas).ok());
+}
+
+// A client (a Byzantine one, under PBFT) can get any bytes committed. A
+// 12-byte envelope claiming 2^32-1 payloads must be dropped by every
+// replica's commit callback, and the cluster must keep committing.
+Bytes HostileEnvelope() {
+  BinaryWriter w;
+  w.WriteU64(7);            // Batch id.
+  w.WriteU32(0xFFFFFFFFu);  // Payload count with no payloads behind it.
+  return w.Take();
+}
+
+template <typename OrderingT>
+void ExpectHostileEnvelopeDropped(OrderingT& ordering) {
+  (void)ordering.cluster().Submit(HostileEnvelope());  // Raft: to the leader.
+  ASSERT_TRUE(ordering.Append(ToBytes("after"), 0).ok());
+  ordering.network().RunUntil(ordering.network().Now() + kSecond);
+  for (size_t i = 0; i < ordering.num_replicas(); ++i) {
+    ASSERT_EQ(ordering.ReplicaLedger(i).size(), 1u) << "replica " << i;
+    EXPECT_EQ(ToString(ordering.ReplicaLedger(i).GetEntry(0)->payload),
+              "after");
+  }
+}
+
+TEST(OrderingHostileInputTest, PbftDropsEnvelopeWithUnboundedCount) {
+  PbftOrdering ordering(4, net::SimNetConfig{});
+  ExpectHostileEnvelopeDropped(ordering);
+}
+
+TEST(OrderingHostileInputTest, RaftDropsEnvelopeWithUnboundedCount) {
+  RaftOrdering ordering(3, net::SimNetConfig{});
+  ASSERT_TRUE(ordering.cluster().Leader().ok());
+  ExpectHostileEnvelopeDropped(ordering);
+}
+
+TEST(OrderingHostileInputTest, ReplicaStateCountsPastTheBlobAreCorruption) {
+  auto blob = [](std::initializer_list<uint64_t> words) {
+    BinaryWriter w;
+    for (uint64_t word : words) w.WriteU64(word);
+    return w.Take();
+  };
+  constexpr uint64_t kHuge = uint64_t{1} << 61;
+  RaftOrdering raft(3, net::SimNetConfig{});
+  // [floor][n_ids][ids...][n][entries...]
+  EXPECT_EQ(raft.RestoreReplicaState(1, blob({0, kHuge})).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(raft.RestoreReplicaState(1, blob({0, 0, kHuge})).code(),
+            StatusCode::kCorruption);
+  // [applied_seq][n][entries...]
+  PbftOrdering pbft(4, net::SimNetConfig{});
+  EXPECT_EQ(pbft.RestoreReplicaState(1, blob({0, kHuge})).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(raft.ReplicaLedger(1).size(), 0u);
+  EXPECT_EQ(pbft.ReplicaLedger(1).size(), 0u);
 }
 
 TEST(ShardedOrderingTest, RoutesDeterministicallyAndCommits) {

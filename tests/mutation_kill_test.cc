@@ -31,15 +31,21 @@ int main() {
 
 #else  // PREVER_MUTATIONS
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
+#include <new>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include "common/bytes.h"
 #include "common/crc32.h"
@@ -696,6 +702,29 @@ Detection RetractionDetector(const std::string& text, int64_t build,
   if (!(*v2 == Value::Int64(after))) return Killed(killed);
   return Survived(survived);
 }
+
+/// Caps the address space 4 GiB above its current size while in scope, so
+/// an oversized reserve throws std::bad_alloc whatever the host's
+/// overcommit policy (no cap when the current size is unreadable).
+struct ScopedAddressSpaceCap {
+  rlimit saved{};
+  bool capped = false;
+  ScopedAddressSpaceCap() {
+    unsigned long pages = 0;
+    std::FILE* f = std::fopen("/proc/self/statm", "r");
+    if (f == nullptr) return;
+    bool read = std::fscanf(f, "%lu", &pages) == 1;
+    std::fclose(f);
+    if (!read || getrlimit(RLIMIT_AS, &saved) != 0) return;
+    rlimit cap = saved;
+    cap.rlim_cur = std::min<rlim_t>(
+        saved.rlim_cur, pages * sysconf(_SC_PAGESIZE) + (rlim_t{4} << 30));
+    capped = setrlimit(RLIMIT_AS, &cap) == 0;
+  }
+  ~ScopedAddressSpaceCap() {
+    if (capped) setrlimit(RLIMIT_AS, &saved);
+  }
+};
 
 // ===================================================================
 // Detector registry.
@@ -1510,6 +1539,31 @@ std::map<std::string, Detector> BuildDetectors(
       return Killed("GC erased the slot just above the stable watermark");
     }
     return Survived("slots above the stable watermark still retained");
+  };
+  d["ORDERING_ENVELOPE_COUNT_UNBOUNDED"] = [] {
+    // A committed 12-byte envelope claiming 2^32-1 payloads: the commit
+    // callback must drop it and the cluster keep committing. The mutant
+    // reserves the claimed count (~100 GB), which the 4 GiB address-space
+    // cap turns into bad_alloc before anything commits.
+    BinaryWriter hostile;
+    hostile.WriteU64(7);
+    hostile.WriteU32(0xFFFFFFFFu);
+    ScopedAddressSpaceCap cap;
+    try {
+      core::PbftOrdering ordering(4, net::SimNetConfig{});
+      ordering.cluster().Submit(hostile.bytes());
+      if (!ordering.Append(ToBytes("after"), 0).ok()) {
+        return Killed("ordering stalled behind a hostile envelope");
+      }
+      if (ordering.Ledger().size() != 1) {
+        return Killed("hostile envelope reached the ledger");
+      }
+    } catch (const std::bad_alloc&) {
+      return Killed("unchecked envelope count reached reserve (bad_alloc)");
+    } catch (const std::length_error&) {
+      return Killed("unchecked envelope count reached reserve (length)");
+    }
+    return Survived("envelope payload count still bounded by its bytes");
   };
 
   // ----------------------------------------------------------- engine

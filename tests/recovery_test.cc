@@ -16,8 +16,10 @@
 #include "common/bytes.h"
 #include "common/serial.h"
 #include "common/sim_clock.h"
+#include "core/ordering.h"
 #include "ledger/ledger_db.h"
 #include "recovery/checkpoint.h"
+#include "recovery/durable_replica.h"
 #include "recovery/journal.h"
 #include "storage/database.h"
 
@@ -271,7 +273,9 @@ TEST_F(RecoveryTest, DatabaseImageRoundTripMultipleTables) {
     auto id = row[0].AsString();
     auto v = row[1].AsInt64();
     EXPECT_TRUE(id.ok() && v.ok());
-    if (id.ok() && *id == "k3") EXPECT_EQ(*v, 30);
+    if (id.ok() && *id == "k3") {
+      EXPECT_EQ(*v, 30);
+    }
     return true;
   });
 
@@ -421,6 +425,51 @@ TEST_F(RecoveryTest, ConcurrentStateTransferRebuildsIdenticalState) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(errors[t], "") << "thread " << t;
   }
+}
+
+// ----------------------------------------------------- DurableReplica --
+
+TEST_F(RecoveryTest, DurableReplicaRebuildsFromCheckpointPlusJournal) {
+  DurableReplica durable(dir_, /*checkpoint_every=*/3);
+  ASSERT_TRUE(durable.Open().ok());
+  ledger::LedgerDb live;
+  auto blob = [] { return ToBytes("app"); };
+  std::vector<uint64_t> checkpointed_at;
+  for (uint64_t pos = 1; pos <= 7; ++pos) {
+    live.Append(ToBytes("p" + std::to_string(pos)), static_cast<SimTime>(pos));
+    JournalEvent event{pos, 100 + pos, EncodedSuffix(live, live.size() - 1)};
+    if (durable.JournalCommit(event, live, blob)) {
+      checkpointed_at.push_back(pos);
+    }
+  }
+  EXPECT_EQ(checkpointed_at, (std::vector<uint64_t>{3, 6}));
+  EXPECT_EQ(durable.checkpoints_saved(), 2u);
+  // An installed state the chain already covers is not saved again.
+  durable.PersistInstalledState(live, 5, blob);
+  EXPECT_EQ(durable.checkpoints_saved(), 2u);
+
+  durable.Crash();
+  ledger::LedgerDb lost = MakeLedger(1);
+  EXPECT_FALSE(durable.JournalCommit({8, 108, EncodedSuffix(lost, 0)}, lost,
+                                     blob))
+      << "a crashed replica must write nothing";
+  auto rebuilt = durable.Rebuild();
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(rebuilt->floor, 7u);
+  EXPECT_EQ(ToString(rebuilt->app_state), "app");
+  EXPECT_EQ(rebuilt->ledger.Digest().root, live.Digest().root);
+  // Only the event past the newest checkpoint (at 6) is replayed.
+  EXPECT_EQ(rebuilt->batch_ids, (std::vector<uint64_t>{107}));
+  EXPECT_EQ(durable.entries_replayed(), 1u);
+}
+
+TEST_F(RecoveryTest, VolatileReplicasCannotRestart) {
+  core::RaftOrdering raft(3, net::SimNetConfig{});
+  EXPECT_EQ(raft.durable(0), nullptr);
+  EXPECT_EQ(raft.RestartReplica(0).code(), StatusCode::kNotSupported);
+  core::PbftOrdering pbft(4, net::SimNetConfig{});
+  EXPECT_EQ(pbft.durable(0), nullptr);
+  EXPECT_EQ(pbft.RestartReplica(0).code(), StatusCode::kNotSupported);
 }
 
 }  // namespace

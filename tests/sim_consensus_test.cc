@@ -169,40 +169,48 @@ TEST(SimConsensusTest, OrderingTraceIsDeterministic) {
 // End-to-end durability: replicas are killed at seed-chosen crash points —
 // including mid-checkpoint-write and mid-WAL-append (the harness mutilates
 // the on-disk files exactly as an interrupted write would) — then restarted
-// through the real recovery path: CheckpointStore::LoadLatest (quarantining
-// corrupt finals) + commit-journal suffix replay + consensus-level catch-up
-// (Raft snapshot/log re-delivery, PBFT stable-checkpoint install + state
-// transfer). Each scenario asserts digest-identical replica prefixes,
-// exactly-once commits post-Flush, and checkpoint-root == recomputed Merkle
-// root. Replay one seed with PREVER_SIM_SEED.
+// through the ordering's own RestartReplica: CheckpointStore::LoadLatest
+// (quarantining corrupt finals) + commit-journal suffix replay +
+// consensus-level catch-up (Raft snapshot/log re-delivery, PBFT
+// stable-checkpoint install + state transfer). Each scenario asserts
+// digest-identical replica prefixes, exactly-once commits post-Flush,
+// checkpoint-root == recomputed Merkle root, and a log bounded by the
+// checkpoint interval. Replay one seed with PREVER_SIM_SEED.
 
 constexpr uint64_t kNumCrashRecoverySeeds = 60;
 
 CrashRecoveryOptions CrashRecoveryOptionsFor(const char* proto,
                                              uint64_t seed) {
   CrashRecoveryOptions o;
-  o.work_dir = ::testing::TempDir() + "prever_crashrec_" + proto + "_" +
-               std::to_string(seed);
+  o.recovery.durable_dir = ::testing::TempDir() + "prever_crashrec_" + proto +
+                           "_" + std::to_string(seed);
   return o;
 }
 
-TEST(SimConsensusTest, RaftCrashRecoverySweep) {
+/// One protocol's sweep; with PREVER_SIM_SEED set, replays that seed at the
+/// sweep's own options and prints its trace.
+template <typename OrderingT>
+void CrashRecoverySweep(const char* proto, size_t num_replicas) {
+  auto options = [&](uint64_t seed) {
+    CrashRecoveryOptions o = CrashRecoveryOptionsFor(proto, seed);
+    o.num_replicas = num_replicas;
+    return o;
+  };
   uint64_t only = 0;
   if (SingleSeed(&only)) {
-    CrashRecoveryReport r = RunRaftCrashRecoveryScenario(
-        only, CrashRecoveryOptionsFor("raft", only));
-    EXPECT_TRUE(r.ok) << r.Summary("Raft");
+    CrashRecoveryReport r =
+        RunCrashRecoveryScenario<OrderingT>(only, options(only));
+    EXPECT_TRUE(r.ok) << r.Summary(proto);
     std::fputs(r.trace.c_str(), stderr);
     return;
   }
   size_t total_crashes = 0;
   size_t total_quarantined = 0;
   for (uint64_t seed = 1; seed <= kNumCrashRecoverySeeds; ++seed) {
-    CrashRecoveryOptions o = CrashRecoveryOptionsFor("raft", seed);
-    o.num_replicas = 5;
-    CrashRecoveryReport r = RunRaftCrashRecoveryScenario(seed, o);
-    ASSERT_TRUE(r.ok) << r.Summary("Raft");
-    EXPECT_EQ(r.crashes, r.recoveries) << r.Summary("Raft");
+    CrashRecoveryReport r =
+        RunCrashRecoveryScenario<OrderingT>(seed, options(seed));
+    ASSERT_TRUE(r.ok) << r.Summary(proto);
+    EXPECT_EQ(r.crashes, r.recoveries) << r.Summary(proto);
     total_crashes += r.crashes;
     total_quarantined += r.checkpoints_quarantined;
   }
@@ -212,25 +220,12 @@ TEST(SimConsensusTest, RaftCrashRecoverySweep) {
   EXPECT_GT(total_quarantined, 0u);
 }
 
+TEST(SimConsensusTest, RaftCrashRecoverySweep) {
+  CrashRecoverySweep<core::RaftOrdering>("Raft", 5);
+}
+
 TEST(SimConsensusTest, PbftCrashRecoverySweep) {
-  uint64_t only = 0;
-  if (SingleSeed(&only)) {
-    CrashRecoveryReport r = RunPbftCrashRecoveryScenario(
-        only, CrashRecoveryOptionsFor("pbft", only));
-    EXPECT_TRUE(r.ok) << r.Summary("Pbft");
-    std::fputs(r.trace.c_str(), stderr);
-    return;
-  }
-  size_t total_crashes = 0;
-  for (uint64_t seed = 1; seed <= kNumCrashRecoverySeeds; ++seed) {
-    CrashRecoveryOptions o = CrashRecoveryOptionsFor("pbft", seed);
-    o.num_replicas = 4;  // f = 1.
-    CrashRecoveryReport r = RunPbftCrashRecoveryScenario(seed, o);
-    ASSERT_TRUE(r.ok) << r.Summary("Pbft");
-    EXPECT_EQ(r.crashes, r.recoveries) << r.Summary("Pbft");
-    total_crashes += r.crashes;
-  }
-  EXPECT_GT(total_crashes, kNumCrashRecoverySeeds / 2);
+  CrashRecoverySweep<core::PbftOrdering>("Pbft", 4);  // f = 1.
 }
 
 // Log compaction keeps memory bounded by the checkpoint interval, not the
@@ -310,15 +305,25 @@ TEST(SimConsensusTest, PbftMessageLogBoundedByCheckpointInterval) {
       << "PBFT message log grew unboundedly";
 }
 
+template <typename OrderingT>
+void ExpectDeterministicCrashRecovery(const char* proto, uint64_t seed) {
+  CrashRecoveryOptions o = CrashRecoveryOptionsFor(proto, seed);
+  CrashRecoveryReport a = RunCrashRecoveryScenario<OrderingT>(seed, o);
+  CrashRecoveryReport b = RunCrashRecoveryScenario<OrderingT>(seed, o);
+  ASSERT_TRUE(a.ok) << a.Summary(proto);
+  EXPECT_FALSE(a.trace.empty()) << proto << " seed " << seed;
+  EXPECT_EQ(a.Summary(proto) + a.trace, b.Summary(proto) + b.trace)
+      << proto << " seed " << seed;
+  EXPECT_EQ(a.committed, b.committed);
+  EXPECT_EQ(a.checkpoints_saved, b.checkpoints_saved);
+}
+
 TEST(SimConsensusTest, CrashRecoveryTraceIsDeterministic) {
   for (uint64_t seed : {9u, 31u}) {
-    CrashRecoveryOptions o = CrashRecoveryOptionsFor("raftdet", seed);
-    CrashRecoveryReport a = RunRaftCrashRecoveryScenario(seed, o);
-    CrashRecoveryReport b = RunRaftCrashRecoveryScenario(seed, o);
-    ASSERT_TRUE(a.ok) << a.Summary("Raft");
-    EXPECT_EQ(a.trace, b.trace) << "seed " << seed;
-    EXPECT_EQ(a.committed, b.committed);
-    EXPECT_EQ(a.checkpoints_saved, b.checkpoints_saved);
+    ExpectDeterministicCrashRecovery<core::RaftOrdering>("raftdet", seed);
+  }
+  for (uint64_t seed : {9u, 31u, 5u, 17u}) {
+    ExpectDeterministicCrashRecovery<core::PbftOrdering>("pbftdet", seed);
   }
 }
 

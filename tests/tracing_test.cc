@@ -22,17 +22,6 @@
 namespace prever::obs {
 namespace {
 
-TracerConfig EnabledConfig(size_t ring_capacity = 4096,
-                           uint64_t sample_period = 1,
-                           uint64_t sample_seed = 0) {
-  TracerConfig cfg;
-  cfg.enabled = true;
-  cfg.sample_period = sample_period;
-  cfg.sample_seed = sample_seed;
-  cfg.ring_capacity = ring_capacity;
-  return cfg;
-}
-
 /// Every test leaves the process-wide tracer the way benches and the sim
 /// harness expect to find it: runtime-disabled.
 class ObsTracing : public ::testing::Test {
@@ -44,6 +33,17 @@ class ObsTracing : public ::testing::Test {
 };
 
 #if !defined(PREVER_TRACING_DISABLED)
+
+TracerConfig EnabledConfig(size_t ring_capacity = 4096,
+                           uint64_t sample_period = 1,
+                           uint64_t sample_seed = 0) {
+  TracerConfig cfg;
+  cfg.enabled = true;
+  cfg.sample_period = sample_period;
+  cfg.sample_seed = sample_seed;
+  cfg.ring_capacity = ring_capacity;
+  return cfg;
+}
 
 TEST_F(ObsTracing, DisabledRecordsNothing) {
   Tracer& tracer = Tracer::Get();
